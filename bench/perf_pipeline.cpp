@@ -40,15 +40,21 @@ core::TraceSet shared_golden() {
                                                     sim::Pickup::kOnChipSensor, 48, 0);
 }
 
+// The transform each monitored push runs: an N-sample capture rides one
+// planned N/2-point complex FFT (the real-split path of
+// SpectrumAnalyzer::stream_push). The argument is the capture length N.
 void BM_FftForward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const dsp::FftPlan plan{n / 2};
   Rng rng{1};
-  std::vector<dsp::cplx> data(n);
-  for (auto& x : data) x = dsp::cplx{rng.gaussian(), 0.0};
+  std::vector<dsp::cplx> data(n / 2);
+  for (auto& x : data) x = dsp::cplx{rng.gaussian(), rng.gaussian()};
+  std::vector<dsp::cplx> work(n / 2);
   for (auto _ : state) {
-    auto work = data;
-    dsp::fft_in_place(work);
+    work = data;
+    plan.forward(work);
     benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -501,11 +507,10 @@ struct MonitorRunResult {
   double spectral_p99_ns = 0.0;
 };
 
-MonitorRunResult run_streamed_monitor(bool incremental_spectral, int repeats) {
+MonitorRunResult run_streamed_monitor(int repeats) {
   const auto& stream = shared_stream();
-  core::RuntimeMonitor::Options options = monitor_options();
-  options.incremental_spectral = incremental_spectral;
-  core::RuntimeMonitor monitor{shared_chip().sample_rate(), shared_evaluator(), options};
+  core::RuntimeMonitor monitor{shared_chip().sample_rate(), shared_evaluator(),
+                               monitor_options()};
   for (const auto& trace : stream.traces) monitor.push(trace);  // warm-up
   const auto alloc0 = util::alloc::thread_counts();
   const auto t0 = std::chrono::steady_clock::now();
@@ -540,8 +545,7 @@ void write_monitor_run_json(std::ofstream& out, const MonitorRunResult& r) {
 }
 
 /// Direct head-to-head measurement serialized to BENCH_monitor.json: streamed
-/// (incremental spectral, the default) vs batch-recompute vs seed-style
-/// traces/sec on a 64-trace window, steady-state allocation counts, and the
+/// monitor vs seed-style traces/sec on a 64-trace window, steady-state allocation counts, and the
 /// monitor's own p50/p99 push latency with the tail ratio tracked directly
 /// as push_p99_over_p50 (CI asserts it stays within ~10x).
 void write_monitor_bench_json(const char* path) {
@@ -559,10 +563,7 @@ void write_monitor_bench_json(const char* path) {
   const double seed_elapsed = seconds_since(seed_t0);
   const auto seed_alloc1 = util::alloc::thread_counts();
 
-  const MonitorRunResult incremental =
-      run_streamed_monitor(/*incremental_spectral=*/true, kRepeats);
-  const MonitorRunResult batch =
-      run_streamed_monitor(/*incremental_spectral=*/false, kRepeats);
+  const MonitorRunResult streamed = run_streamed_monitor(kRepeats);
 
   const double pushes = static_cast<double>(kRepeats) * static_cast<double>(stream.size());
   const double seed_rate = pushes / seed_elapsed;
@@ -582,20 +583,14 @@ void write_monitor_bench_json(const char* path) {
       << "    \"allocated_bytes\": " << (seed_alloc1.bytes - seed_alloc0.bytes) << "\n"
       << "  },\n"
       << "  \"streamed\": {\n";
-  write_monitor_run_json(out, incremental);
+  write_monitor_run_json(out, streamed);
   out << "  },\n"
-      << "  \"streamed_batch_recompute\": {\n";
-  write_monitor_run_json(out, batch);
-  out << "  },\n"
-      << "  \"speedup\": " << (incremental.traces_per_sec / seed_rate) << "\n"
+      << "  \"speedup\": " << (streamed.traces_per_sec / seed_rate) << "\n"
       << "}\n";
   std::printf("monitor hot path: seed %.0f traces/s, streamed %.0f traces/s (%.2fx), "
-              "batch-recompute %.0f traces/s, push p99/p50 %.2f -> %s\n",
-              seed_rate, incremental.traces_per_sec,
-              incremental.traces_per_sec / seed_rate, batch.traces_per_sec,
-              incremental.push_p50_ns > 0.0
-                  ? incremental.push_p99_ns / incremental.push_p50_ns
-                  : 0.0,
+              "push p99/p50 %.2f -> %s\n",
+              seed_rate, streamed.traces_per_sec, streamed.traces_per_sec / seed_rate,
+              streamed.push_p50_ns > 0.0 ? streamed.push_p99_ns / streamed.push_p50_ns : 0.0,
               path);
 }
 

@@ -75,7 +75,6 @@ void RuntimeMonitor::validate_options() const {
                "monitor needs a positive, finite sample rate");
   EMTS_REQUIRE(options_.alarm_debounce >= 1, "alarm debounce must be >= 1");
   EMTS_REQUIRE(options_.spectral_window >= 1, "spectral window must be >= 1");
-  EMTS_REQUIRE(options_.spectral_rebuild_every >= 1, "spectral rebuild cadence must be >= 1");
 }
 
 void RuntimeMonitor::on_alarm(std::function<void(const TrustReport&)> callback) {
@@ -92,15 +91,14 @@ void RuntimeMonitor::finish_calibration() {
 void RuntimeMonitor::bind_evaluator() {
   EMTS_ASSERT(evaluator_.has_value());
   spectral_ = evaluator_->try_spectral();
+  for (const auto& detector : evaluator_->detectors()) {
+    EMTS_REQUIRE(!detector->windowed() || detector.get() == spectral_,
+                 "monitor cannot run windowed detector '" + detector->name() +
+                     "': the windowed pass runs only the spectral stage");
+  }
   if (spectral_ != nullptr) {
     spectral_scratch_.emplace(spectral_->options().spectrum);
   }
-  window_set_.sample_rate = sample_rate_;
-}
-
-bool RuntimeMonitor::incremental_spectral_active() const {
-  return options_.incremental_spectral && spectral_ != nullptr &&
-         spectral_scratch_.has_value();
 }
 
 void RuntimeMonitor::record_event(MonitorEventKind kind, double value) {
@@ -222,18 +220,16 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     record_event(MonitorEventKind::kPerTraceAnomaly, anomaly_score);
   }
 
-  // Windowed stages re-run over a rolling window of recent captures.
-  bool windowed_anomaly = false;
+  // The windowed (spectral) stage re-runs over a tumbling window of recent
+  // captures.
   window_.push(trace);
-  if (incremental_spectral_active()) {
+  if (spectral_ != nullptr) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
     // into the running window sum; the boundary pass below is then O(bins).
-    spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
-    ++stats_.spectral_incremental_updates;
+    spectral_->stream_observe(trace, sample_rate_, *spectral_scratch_);
   }
-  if (window_.size() >= options_.spectral_window) {
-    run_windowed_pass(windowed_anomaly);
-  }
+  const bool windowed_anomaly =
+      window_.size() >= options_.spectral_window && run_windowed_pass();
 
   if (per_trace_anomaly || windowed_anomaly) {
     ++consecutive_anomalies_;
@@ -267,48 +263,24 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
   return state_;
 }
 
-void RuntimeMonitor::run_windowed_pass(bool& windowed_anomaly) {
+bool RuntimeMonitor::run_windowed_pass() {
   const std::uint64_t t0 = util::monotonic_ns();
-  for (const auto& detector : evaluator_->detectors()) {
-    if (!detector->windowed()) continue;
-    if (const auto* sd = dynamic_cast<const SpectralDetector*>(detector.get())) {
-      if (incremental_spectral_active()) {
-        bool rebuilt = false;
-        last_spectral_ = sd->stream_finish(window_, sample_rate_, *spectral_scratch_,
-                                           options_.spectral_rebuild_every, rebuilt);
-        if (rebuilt) ++stats_.spectral_recomputes;
-      } else {
-        last_spectral_ = sd->analyze_reusing(window_, sample_rate_, *spectral_scratch_);
-        ++stats_.spectral_recomputes;
-      }
-      windowed_anomaly |= last_spectral_->anomalous();
-    } else {
-      // Generic windowed detectors take a TraceSet; snapshot the ring into a
-      // reused set (per-slot assign keeps the storage warm).
-      window_set_.traces.resize(window_.size());
-      for (std::size_t i = 0; i < window_.size(); ++i) {
-        const Trace& src = window_.oldest(i);
-        window_set_.traces[i].assign(src.begin(), src.end());
-      }
-      const DetectorReport stage = detector->evaluate_set(
-          window_set_, evaluator_->options().anomalous_fraction_alarm);
-      windowed_anomaly |= stage.alarm;
-    }
+  bool anomalous = false;
+  if (spectral_ != nullptr) {
+    last_spectral_ = spectral_->stream_finish(window_, sample_rate_, *spectral_scratch_);
+    anomalous = last_spectral_->anomalous();
+    spectral_scratch_->analyzer.stream_reset();
   }
   const std::size_t analyzed = window_.size();
   window_.clear();
-  if (incremental_spectral_active()) spectral_scratch_->analyzer.stream_reset();
   ++stats_.spectral_passes;
   record_event(MonitorEventKind::kSpectralPass, static_cast<double>(analyzed));
-  if (windowed_anomaly) {
+  if (anomalous) {
     ++stats_.windowed_anomalies;
-    const double strongest =
-        (last_spectral_.has_value() && !last_spectral_->anomalies.empty())
-            ? last_spectral_->anomalies.front().ratio
-            : 0.0;
-    record_event(MonitorEventKind::kWindowedAnomaly, strongest);
+    record_event(MonitorEventKind::kWindowedAnomaly, last_spectral_->anomalies.front().ratio);
   }
   stats_.spectral_latency.record(util::monotonic_ns() - t0);
+  return anomalous;
 }
 
 MonitorStateImage RuntimeMonitor::export_state() const {
@@ -318,8 +290,6 @@ MonitorStateImage RuntimeMonitor::export_state() const {
   image.alarm_debounce = options_.alarm_debounce;
   image.spectral_window = options_.spectral_window;
   image.event_log_capacity = options_.event_log_capacity;
-  image.incremental_spectral = options_.incremental_spectral;
-  image.spectral_rebuild_every = options_.spectral_rebuild_every;
 
   image.state = state_;
   image.traces_seen = traces_seen_;
@@ -332,12 +302,6 @@ MonitorStateImage RuntimeMonitor::export_state() const {
   image.window.reserve(window_.size());
   for (std::size_t i = 0; i < window_.size(); ++i) image.window.push_back(window_.oldest(i));
   image.window_total_pushed = window_.total_pushed();
-  if (spectral_scratch_.has_value()) {
-    image.spectral_sum = spectral_scratch_->analyzer.stream_sum();
-    image.spectral_count = spectral_scratch_->analyzer.stream_count();
-    image.spectral_updates_since_rebuild =
-        spectral_scratch_->analyzer.stream_updates_since_rebuild();
-  }
   image.stats = stats_;
   // Buffered events, oldest first — the order drain_events() would emit.
   if (!events_.empty()) {
@@ -357,9 +321,7 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
                "restore_state: image sample rate differs from the monitor");
   EMTS_REQUIRE(image.alarm_debounce == options_.alarm_debounce &&
                    image.spectral_window == options_.spectral_window &&
-                   image.event_log_capacity == options_.event_log_capacity &&
-                   image.incremental_spectral == options_.incremental_spectral &&
-                   image.spectral_rebuild_every == options_.spectral_rebuild_every,
+                   image.event_log_capacity == options_.event_log_capacity,
                "restore_state: image was captured under different monitor options");
   EMTS_REQUIRE((image.state == MonitorState::kCalibrating) == !evaluator_.has_value(),
                image.state == MonitorState::kCalibrating
@@ -370,9 +332,14 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
                  "restore_state: image was captured under different monitor options");
     EMTS_REQUIRE(image.calibration.size() < options_.calibration_traces,
                  "restore_state: calibrating image holds a full calibration set");
+    EMTS_REQUIRE(image.window.empty(),
+                 "restore_state: calibrating image holds spectral-window traces");
   }
-  EMTS_REQUIRE(image.window.size() <= window_.capacity(),
-               "restore_state: image window exceeds the spectral window");
+  // A full window is analyzed and cleared in the push that fills it, so no
+  // export holds one; accepting one would make every later windowed pass
+  // fail its accumulator count check.
+  EMTS_REQUIRE(image.window.size() < window_.capacity(),
+               "restore_state: image window must hold fewer traces than the spectral window");
   EMTS_REQUIRE(image.events.size() <= events_.size() ||
                    (events_.empty() && image.events.empty()),
                "restore_state: image events exceed the event log capacity");
@@ -382,10 +349,6 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
     EMTS_REQUIRE(image.expected_length != 0 && trace.size() == image.expected_length,
                  "restore_state: window trace shape disagrees with the pinned length");
   }
-  EMTS_REQUIRE(image.spectral_count == 0 || image.spectral_count == image.window.size(),
-               "restore_state: spectral accumulator count disagrees with the window");
-  EMTS_REQUIRE(image.spectral_count == 0 || !image.spectral_sum.empty(),
-               "restore_state: non-empty spectral accumulator with no bins");
 
   state_ = image.state;
   traces_seen_ = static_cast<std::size_t>(image.traces_seen);
@@ -396,18 +359,12 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   last_spectral_ = image.last_spectral;
   calibration_.traces = image.calibration;
   window_.clear();
-  const bool incremental = incremental_spectral_active();
   for (const Trace& trace : image.window) {
     window_.push(trace);
-    // Replay the per-slot spectrum caches deterministically; the accumulator
-    // itself is then overwritten verbatim from the image below, so a
-    // continued stream is bit-identical even mid-drift.
-    if (incremental) spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
-  }
-  if (incremental) {
-    spectral_scratch_->analyzer.stream_restore(image.spectral_sum,
-                                               image.spectral_count,
-                                               image.spectral_updates_since_rebuild);
+    // Re-transform in arrival order: the live sum was built from zero in
+    // this same order by the same deterministic transform, so the rebuilt
+    // sum is bit-identical to the exporter's.
+    if (spectral_ != nullptr) spectral_->stream_observe(trace, sample_rate_, *spectral_scratch_);
   }
   window_.restore_total_pushed(image.window_total_pushed);
   stats_ = image.stats;
@@ -425,7 +382,7 @@ void RuntimeMonitor::acknowledge_alarm() {
   // alarm on a perfectly clean stream.
   consecutive_anomalies_ = 0;
   window_.clear();
-  if (incremental_spectral_active()) spectral_scratch_->analyzer.stream_reset();
+  if (spectral_ != nullptr) spectral_scratch_->analyzer.stream_reset();
   last_score_.reset();
   last_spectral_.reset();
   ++stats_.alarms_acknowledged;

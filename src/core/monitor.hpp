@@ -13,18 +13,15 @@
 // after one warm-up window, a push performs zero heap allocations. Per-trace
 // scores stay bit-identical to the copying Detector::score() path.
 //
-// The spectral pass is incremental by default (Options::incremental_spectral):
-// each push computes the incoming trace's amplitude spectrum once (one
-// half-size real-split FFT), caches it in the ring, and updates a running
-// per-bin sum, so the window-boundary pass is an O(bins) mean + classify
-// instead of W FFTs — flattening the push-latency tail from ~450x p50 to
-// within ~10x. Scores match the batch path (incremental_spectral = false,
-// which matches SpectralDetector::analyze() to floating-point rounding) to
-// rounding: anomaly kinds, bins, states and alarm sequences are identical
-// because classification is tolerance-based, and at a drift-bounding rebuild
-// (every spectral_rebuild_every incremental updates) the accumulator is
-// re-summed bit-exactly from the cached spectra. MonitorStats and the
-// drainable event log expose what the loop did without perturbing it.
+// The spectral pass is incremental: each push computes the incoming trace's
+// amplitude spectrum once (one half-size real-split FFT) and adds it into a
+// running per-bin sum, so the window-boundary pass is an O(bins) mean +
+// classify instead of W FFTs. Windows tumble (the ring is cleared at every
+// boundary), so the sum never retires an entry and needs no drift control.
+// Anomaly kinds, bins and verdicts agree with SpectralDetector::analyze()
+// over the same window, with ratios equal to within floating-point rounding.
+// MonitorStats and the drainable event log expose what the loop did without
+// perturbing it.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +44,7 @@ enum class MonitorEventKind : std::uint8_t {
   kCalibrated,             // value = calibration traces consumed
   kPerTraceAnomaly,        // value = offending per-trace score
   kSpectralPass,           // value = window size analyzed
-  kWindowedAnomaly,        // value = strongest spectral ratio (0 if non-spectral)
+  kWindowedAnomaly,        // value = strongest spectral ratio
   kAlarmLatched,           // value = consecutive anomalies at latch time
   kAlarmAcknowledged,      // value = traces seen while latched
   kTraceRejectedShape,     // value = offending sample count
@@ -72,9 +69,6 @@ struct MonitorStats {
   std::uint64_t per_trace_anomalies = 0;  // pushes with a per-trace exceedance
   std::uint64_t spectral_passes = 0;      // completed windowed analyses
   std::uint64_t windowed_anomalies = 0;   // passes that flagged the window
-  std::uint64_t spectral_recomputes = 0;  // full mean-spectrum recomputes
-                                          // (batch passes / drift rebuilds)
-  std::uint64_t spectral_incremental_updates = 0;  // per-push accumulator adds
   std::uint64_t alarms_latched = 0;
   std::uint64_t alarms_acknowledged = 0;
   std::uint64_t events_dropped = 0;       // event-log overwrites (ring full)
@@ -97,8 +91,6 @@ struct MonitorStateImage {
   std::uint64_t alarm_debounce = 0;
   std::uint64_t spectral_window = 0;
   std::uint64_t event_log_capacity = 0;
-  bool incremental_spectral = true;
-  std::uint64_t spectral_rebuild_every = 4096;
 
   MonitorState state = MonitorState::kCalibrating;
   std::uint64_t traces_seen = 0;
@@ -108,15 +100,11 @@ struct MonitorStateImage {
   std::optional<double> last_score;
   std::optional<SpectralReport> last_spectral;
   std::vector<Trace> calibration;       // pending self-calibration captures
-  std::vector<Trace> window;            // spectral-window ring, oldest first
+  // Spectral-window ring, oldest first. restore_state() rebuilds the running
+  // spectral sum by re-transforming these traces in arrival order, which is
+  // bit-exact: the live sum was built from zero in that same order.
+  std::vector<Trace> window;
   std::uint64_t window_total_pushed = 0;
-  // Incremental spectral accumulator: the running per-bin sum over `window`
-  // plus its live count and drift counter. Restoring it verbatim (instead of
-  // re-deriving it from the window) keeps the continued stream bit-identical
-  // to the uninterrupted one even mid-drift.
-  std::uint64_t spectral_count = 0;
-  std::uint64_t spectral_updates_since_rebuild = 0;
-  std::vector<double> spectral_sum;
   MonitorStats stats;                   // counters + latency histograms
   std::vector<MonitorEvent> events;     // buffered event log, oldest first
 };
@@ -135,15 +123,6 @@ class RuntimeMonitor {
     // entry is overwritten on overflow and counted in events_dropped).
     // 0 disables event capture entirely.
     std::size_t event_log_capacity = 256;
-    // Maintain the windowed mean spectrum incrementally (one FFT per push,
-    // O(bins) at the boundary) instead of recomputing the whole window's
-    // FFTs at the boundary. Scores match the batch path to floating-point
-    // rounding; see the class comment.
-    bool incremental_spectral = true;
-    // Exact-rebuild cadence of the incremental accumulator, measured in
-    // incremental updates since the last rebuild — bounds floating-point
-    // drift. Must be >= 1; 1 rebuilds at every window boundary.
-    std::size_t spectral_rebuild_every = 4096;
     TrustEvaluator::Options evaluator{};
   };
 
@@ -246,12 +225,13 @@ class RuntimeMonitor {
   /// Non-throwing input gate; records the rejection event when it fails.
   bool admit_trace(const Trace& trace);
   void finish_calibration();
-  /// Builds the per-stream scratches once an evaluator exists.
+  /// Builds the per-stream scratches once an evaluator exists. Refuses a
+  /// stack with a windowed stage other than its SpectralDetector: the
+  /// windowed pass runs only the spectral stage.
   void bind_evaluator();
-  /// True when the incremental spectral path drives the windowed pass.
-  bool incremental_spectral_active() const;
   MonitorState ingest(const Trace& trace);
-  void run_windowed_pass(bool& windowed_anomaly);
+  /// Classifies the full window, clears it; returns true when it is anomalous.
+  bool run_windowed_pass();
   void record_event(MonitorEventKind kind, double value);
 
   Options options_;
@@ -259,7 +239,6 @@ class RuntimeMonitor {
   MonitorState state_ = MonitorState::kCalibrating;
   TraceSet calibration_;
   TraceRing window_;
-  TraceSet window_set_;  // reused snapshot for generic windowed detectors
   std::optional<TrustEvaluator> evaluator_;
   // Cached spectral stage of the bound evaluator (nullptr when the stack has
   // none). Points at the evaluator's heap-owned detector, so it stays valid

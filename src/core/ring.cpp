@@ -42,24 +42,4 @@ void TraceRing::restore_total_pushed(std::uint64_t total) {
   total_pushed_ = total;
 }
 
-void TraceRing::enable_spectrum_cache(std::size_t bins) {
-  EMTS_REQUIRE(bins >= 1, "spectrum cache requires >= 1 bin");
-  if (spectra_.size() == slots_.size() && !spectra_.empty() && spectra_[0].size() == bins) {
-    return;  // already enabled at this shape
-  }
-  spectra_.assign(slots_.size(), std::vector<double>(bins, 0.0));
-}
-
-std::vector<double>& TraceRing::newest_spectrum() {
-  EMTS_REQUIRE(count_ > 0, "trace ring is empty");
-  EMTS_REQUIRE(spectrum_cache_enabled(), "spectrum cache not enabled");
-  return spectra_[slot_index(count_ - 1)];
-}
-
-const std::vector<double>& TraceRing::oldest_spectrum(std::size_t i) const {
-  EMTS_REQUIRE(i < count_, "trace ring index out of range");
-  EMTS_REQUIRE(spectrum_cache_enabled(), "spectrum cache not enabled");
-  return spectra_[slot_index(i)];
-}
-
 }  // namespace emts::core

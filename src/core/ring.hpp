@@ -47,25 +47,10 @@ class TraceRing {
   /// at least the pushes already recorded (the counter never runs backward).
   void restore_total_pushed(std::uint64_t total);
 
-  /// Attaches a per-slot cached amplitude spectrum of `bins` doubles to every
-  /// slot, preallocated up front so the incremental spectral path writes into
-  /// existing storage. Idempotent for the same bin count; caches survive
-  /// clear() exactly like slot storage does. Requires bins >= 1.
-  void enable_spectrum_cache(std::size_t bins);
-  bool spectrum_cache_enabled() const { return !spectra_.empty(); }
-
-  /// Cached spectrum of the newest slot (the one the incremental push just
-  /// filled). Requires a non-empty ring with the cache enabled.
-  std::vector<double>& newest_spectrum();
-  /// Cached spectrum of the i-th entry in arrival order (same indexing as
-  /// oldest(i)). Requires i < size() and the cache enabled.
-  const std::vector<double>& oldest_spectrum(std::size_t i) const;
-
  private:
   std::size_t slot_index(std::size_t i) const;
 
   std::vector<Trace> slots_;
-  std::vector<std::vector<double>> spectra_;  // parallel to slots_ when enabled
   std::size_t head_ = 0;  // next write position
   std::size_t count_ = 0;
   std::uint64_t total_pushed_ = 0;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -100,37 +99,20 @@ class SpectralDetector : public Detector {
   /// Scratch wired to this detector's spectrum options.
   SpectralScratch make_scratch() const { return SpectralScratch{options_.spectrum}; }
 
-  /// analyze() over a capture ring through caller-owned buffers. Traces are
-  /// consumed oldest-first (arrival order), matching a TraceSet holding the
-  /// same traces. The mean spectrum rides the two-for-one packed real FFT
-  /// (half the transforms of analyze()), so amplitudes match analyze() on
-  /// that set to floating-point rounding — anomaly kinds, bins and verdicts
-  /// agree because classification is tolerance-based. The returned
-  /// reference stays valid until the next call with this scratch.
-  /// Zero heap allocations once the scratch is warm for the stream's trace
-  /// length. `sample_rate` of the ring's captures must match calibration.
-  const SpectralReport& analyze_reusing(const TraceRing& window, double sample_rate,
-                                        SpectralScratch& scratch) const;
+  /// Runtime path, step 1 — call once per monitored capture: transforms the
+  /// trace (one half-size real-split FFT) and adds its amplitude spectrum
+  /// into the scratch analyzer's running sum. Zero heap allocations once the
+  /// scratch is warm. `sample_rate` must match calibration.
+  void stream_observe(const Trace& trace, double sample_rate, SpectralScratch& scratch) const;
 
-  /// Incremental path, step 1 — call once right after window.push(trace):
-  /// computes the newest trace's amplitude spectrum (one half-size real-split
-  /// FFT), caches it in the ring's per-slot spectrum cache (enabled here on
-  /// first use), and adds it into the scratch analyzer's running sum. Zero
-  /// heap allocations once scratch and ring cache are warm.
-  void stream_observe(TraceRing& window, double sample_rate, SpectralScratch& scratch) const;
-
-  /// Incremental path, step 2 — call at the window boundary instead of
-  /// analyze_reusing(): classifies the running mean spectrum against the
-  /// golden spots. When the accumulator has absorbed >= rebuild_every
-  /// incremental updates since the last exact rebuild, the sum is first
-  /// rebuilt bit-exactly from the cached per-slot spectra (bounding
-  /// floating-point drift) and `rebuilt` is set. Per-push amplitudes match
-  /// the batch path to floating-point rounding, so anomaly kinds, bins and
-  /// verdicts agree with analyze_reusing(); at a rebuild point the mean is
-  /// bit-identical to a fresh accumulation of the cached spectra.
+  /// Runtime path, step 2 — call at the window boundary: classifies the
+  /// running mean spectrum (an O(bins) pass) against the golden spots. The
+  /// accumulator must hold exactly the window's traces. Amplitudes match
+  /// analyze() over the same traces as a TraceSet to floating-point
+  /// rounding, so anomaly kinds, bins and verdicts agree with it; the
+  /// returned reference stays valid until the next call with this scratch.
   const SpectralReport& stream_finish(const TraceRing& window, double sample_rate,
-                                      SpectralScratch& scratch, std::uint64_t rebuild_every,
-                                      bool& rebuilt) const;
+                                      SpectralScratch& scratch) const;
 
   /// Folds a typed spectral report into the generic stage form.
   DetectorReport to_stage(const SpectralReport& report) const;
@@ -152,11 +134,6 @@ class SpectralDetector : public Detector {
   /// Classifies suspect peaks against the golden spots into `report`
   /// (cleared first), sorted strongest-ratio first.
   void match_peaks(const std::vector<dsp::SpectralPeak>& peaks, SpectralReport& report) const;
-
-  /// Shared classification tail of analyze_reusing()/stream_finish(): floor
-  /// estimate, peak finding and golden-spot matching over a mean spectrum.
-  const SpectralReport& classify_mean(const dsp::Spectrum& spectrum,
-                                      SpectralScratch& scratch) const;
 
   Options options_;
   dsp::Spectrum golden_;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <vector>
@@ -63,15 +62,20 @@ std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplit
 void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
                      std::vector<SpectralPeak>& peaks, std::size_t max_peaks = 32);
 
-/// Reusable spectral pass: caches the window coefficients, the FFT plan and
+/// Reusable spectral pass: caches the window coefficients, the FFT plans and
 /// every working buffer for one trace length, so repeated analyze() /
-/// begin()+add()+mean() calls on equally sized signals perform zero heap
+/// stream_push() calls on equally sized signals perform zero heap
 /// allocations after the first (warm-up) pass. analyze() is bit-identical to
-/// amplitude_spectrum with the same options. The streamed begin()/add()/
-/// mean() path additionally packs consecutive traces two-per-FFT (the
-/// two-for-one real transform), halving the dominant cost of a mean-spectrum
-/// pass; its output matches mean_spectrum to floating-point rounding (a few
-/// ULPs per bin), which the tolerance-based anomaly classification absorbs.
+/// amplitude_spectrum with the same options.
+///
+/// The streaming mean-spectrum mode runs one half-size real-split FFT per
+/// push and adds the amplitudes into a running per-bin sum; stream_mean()
+/// divides the sum by the live count, so a window boundary costs one O(bins)
+/// pass instead of W FFTs. Per-push amplitudes match amplitude_spectrum to
+/// floating-point rounding (a few ULPs per bin), which the tolerance-based
+/// anomaly classification absorbs. The transform is deterministic, so
+/// re-pushing the same signals in the same order after stream_reset()
+/// rebuilds the sum bit-exactly (this is how a snapshot restore recovers it).
 class SpectrumAnalyzer {
  public:
   explicit SpectrumAnalyzer(const SpectrumOptions& options = {});
@@ -79,59 +83,23 @@ class SpectrumAnalyzer {
   const SpectrumOptions& options() const { return options_; }
 
   /// One-shot spectrum of a single signal; the returned reference stays
-  /// valid until the next analyze()/begin() call.
+  /// valid until the next analyze()/stream_mean() call.
   const Spectrum& analyze(const std::vector<double>& signal, double sample_rate);
 
-  /// Streamed mean spectrum: begin() fixes the trace length, add() feeds
-  /// each trace, mean() finishes. Matches mean_spectrum() over the same
-  /// traces in the same order to floating-point rounding (see class doc).
-  void begin(std::size_t trace_length, double sample_rate);
-  void add(const std::vector<double>& signal);
-  const Spectrum& mean();
-
-  /// Incremental mean-spectrum mode: one half-size real-split FFT per push,
-  /// amplitudes cached in a caller-owned buffer, and a running per-bin sum
-  /// maintained by add-incoming / subtract-outgoing. stream_mean() divides
-  /// the sum by the live count without touching per-trace state, so a window
-  /// boundary costs one O(bins) pass instead of W FFTs. Per-push amplitudes
-  /// match amplitude_spectrum to floating-point rounding (a few ULPs per
-  /// bin); an exact rebuild from the cached amplitudes (stream_reset +
-  /// stream_accumulate in arrival order) bounds accumulator drift and is
-  /// bit-identical to re-summing the same values.
-  ///
-  /// ensure_stream() prepares the caches for a trace length / sample rate;
-  /// resizing the accumulator is only legal while it is empty
+  /// Prepares the streaming caches for a trace length / sample rate.
+  /// Resizing the accumulator is only legal while it is empty
   /// (stream_count() == 0) — shape changes mid-stream are a caller bug.
   void ensure_stream(std::size_t trace_length, double sample_rate);
-  /// Amplitude spectrum of one signal into `amp_out` (resized to bins).
-  void stream_transform(const std::vector<double>& signal, std::vector<double>& amp_out);
-  /// stream_transform + add the amplitudes into the running sum. Counts as
-  /// one incremental update toward the drift-bounding rebuild cadence.
-  void stream_push(const std::vector<double>& signal, std::vector<double>& amp_out);
-  /// Adds an already-computed amplitude vector into the running sum without
-  /// advancing the update counter (rebuild / restore path).
-  void stream_accumulate(const std::vector<double>& amp);
-  /// Subtracts an outgoing cached amplitude vector from the running sum
-  /// (sliding-window retirement). Counts as one incremental update.
-  void stream_retire(const std::vector<double>& amp);
-  /// Zeroes the running sum and count. Deliberately does NOT reset the
-  /// lifetime update counter: rebuild cadence is measured in total
-  /// incremental operations, so drift stays bounded even under tumbling
-  /// windows that reset the accumulator every window.
+  /// Transforms one signal and adds its amplitudes into the running sum.
+  void stream_push(const std::vector<double>& signal);
+  /// Zeroes the running sum and count.
   void stream_reset();
-  /// Marks an exact rebuild complete (zeroes the update counter).
-  void stream_mark_rebuilt();
-  /// Mean of the accumulated spectra; valid until the next analyze()/begin()
-  /// /stream_mean() call. Requires stream_count() > 0.
+  /// Mean of the accumulated spectra; valid until the next analyze()/
+  /// stream_mean() call. Requires stream_count() > 0.
   const Spectrum& stream_mean();
-  /// Overwrites the accumulator bit-exactly (snapshot restore).
-  void stream_restore(const std::vector<double>& sum, std::size_t count,
-                      std::uint64_t updates_since_rebuild);
 
   const std::vector<double>& stream_sum() const { return stream_sum_; }
   std::size_t stream_count() const { return stream_count_; }
-  std::uint64_t stream_updates_since_rebuild() const { return stream_updates_; }
-  std::size_t stream_bins() const { return stream_sum_.size(); }
 
   /// Number of times the caches had to be (re)built — a new trace length or
   /// sample rate. Stays constant across passes once the analyzer is warm.
@@ -139,24 +107,15 @@ class SpectrumAnalyzer {
 
  private:
   void prepare(std::size_t n, double sample_rate);
-  /// Detrend + window one signal into dst (same arithmetic order as
+  /// Detrend + window one signal into work_ (same arithmetic order as
   /// amplitude_spectrum).
-  void preprocess_into(const std::vector<double>& signal, std::vector<double>& dst);
-  /// Preprocess + FFT of one signal into amp_ (amplitude per bin).
-  void transform_into_amp(const std::vector<double>& signal);
-  /// FFT of one already-preprocessed signal into amp_.
-  void transform_preprocessed_into_amp(const std::vector<double>& pre);
-  /// Two-for-one real FFT of a pair of preprocessed signals: amplitudes of
-  /// `first` land in amp_, of `second` in amp2_.
-  void transform_pair_into_amps(const std::vector<double>& first,
-                                const std::vector<double>& second);
-  /// Real-split half-size FFT of one preprocessed signal into amp_ (even
+  void preprocess(const std::vector<double>& signal);
+  /// Full-size FFT of the preprocessed work_ into amp_.
+  void transform_into_amp();
+  /// Real-split half-size FFT of the preprocessed work_ into amp_ (even
   /// samples in the real lane, odd in the imaginary lane of an N/2 complex
-  /// transform, untangled with precomputed twiddles). Same amortized cost as
-  /// the two-for-one pairing, but with flat per-call latency.
-  void transform_preprocessed_realsplit_into_amp(const std::vector<double>& pre);
-  /// Adds one per-trace amplitude vector into the running mean accumulator.
-  void accumulate_amp(const std::vector<double>& amp);
+  /// transform, untangled with precomputed twiddles).
+  void transform_realsplit_into_amp();
 
   SpectrumOptions options_;
   std::size_t signal_length_ = 0;
@@ -165,21 +124,15 @@ class SpectrumAnalyzer {
   double gain_ = 0.0;              // coherent gain of window_
   std::optional<FftPlan> plan_;    // plan for the padded length
   std::vector<double> work_;       // detrended + windowed signal
-  std::vector<double> pending_;    // first-of-pair preprocessed signal
-  bool pending_full_ = false;      // pending_ holds an unconsumed signal
   std::vector<cplx> data_;         // FFT working buffer (padded)
   std::vector<double> amp_;        // per-trace amplitude scratch
-  std::vector<double> amp2_;       // second lane of a packed pair
-  Spectrum out_;                   // analyze()/mean() result buffer
-  std::size_t accumulated_ = 0;    // traces added since begin()
-  bool mean_open_ = false;         // begin() called, mean() pending
+  Spectrum out_;                   // analyze()/stream_mean() result buffer
   std::size_t warmups_ = 0;
   std::optional<FftPlan> plan_half_;  // N/2 plan for the real-split transform
   std::vector<cplx> data_half_;       // half-size FFT working buffer
   std::vector<cplx> stream_tw_;       // untangle twiddles e^{-2πik/N}, half+1
   std::vector<double> stream_sum_;    // running per-bin amplitude sum
-  std::size_t stream_count_ = 0;      // live traces in the running sum
-  std::uint64_t stream_updates_ = 0;  // incremental ops since last rebuild
+  std::size_t stream_count_ = 0;      // traces in the running sum
 };
 
 /// Binary round-trip of a reference spectrum (the spectral detector's golden

@@ -86,10 +86,6 @@ std::string monitor_stats_json(core::MonitorState state,
   out += ',';
   append_u64(out, "windowed_anomalies", stats.windowed_anomalies);
   out += ',';
-  append_u64(out, "spectral_recomputes", stats.spectral_recomputes);
-  out += ',';
-  append_u64(out, "spectral_incremental_updates", stats.spectral_incremental_updates);
-  out += ',';
   append_u64(out, "alarms_latched", stats.alarms_latched);
   out += ',';
   append_u64(out, "alarms_acknowledged", stats.alarms_acknowledged);

@@ -23,10 +23,10 @@ namespace emts::fleet {
 /// Version of the JSON schema below; emitted as "schema_version" in both the
 /// monitor object and the fleet document. Bump when a key changes meaning or
 /// disappears — additions alone do not require a bump, but got one here
-/// (v1 -> v2) because the field itself is new, and again (v2 -> v3) when the
-/// incremental spectral pipeline added the spectral_recomputes /
-/// spectral_incremental_updates counters to every monitor object.
-inline constexpr std::uint32_t kStatsSchemaVersion = 3;
+/// (v1 -> v2) because the field itself is new, again (v2 -> v3) when two
+/// spectral-path counters joined every monitor object, and (v3 -> v4) when
+/// the single spectral path dropped them.
+inline constexpr std::uint32_t kStatsSchemaVersion = 4;
 
 /// JSON string escaping (control characters to \uXXXX).
 std::string json_escape(const std::string& s);
@@ -37,7 +37,7 @@ std::string json_number(double value);
 /// {"count":...,"p50_us":...,"p99_us":...,"max_us":...}
 std::string latency_json(const util::LatencyHistogram& h);
 
-/// One monitor session as a JSON object: state, last_score, the twelve
+/// One monitor session as a JSON object: state, last_score, the ten
 /// MonitorStats counters, both latency histograms, buffered events, and
 /// schema_version. `monitor --json` prints exactly this object; the fleet
 /// document and the daemon's stats export embed the identical object per

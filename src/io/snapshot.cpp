@@ -16,11 +16,11 @@ namespace emts::io {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'M', 'F', 'S'};
-// v2: monitor states gained the incremental-spectral option mirrors and the
-// spectral accumulator (sum + count + drift counter) plus two MonitorStats
-// counters. v1 containers predate the incremental pipeline and cannot
-// reconstruct that state, so they are refused rather than guessed at.
-constexpr std::uint32_t kVersion = 2;
+// v3: monitor states no longer carry the spectral accumulator or the
+// spectral-mode option mirrors and counters; restore re-derives the running
+// sum from the window. Older containers lay their records out differently,
+// so they are refused rather than guessed at.
+constexpr std::uint32_t kVersion = 3;
 // A fleet snapshot is an operational artifact, not a data lake: caps sized
 // generously above any believable deployment, tight enough that a corrupt
 // count is refused before it turns into an allocation.
@@ -69,8 +69,6 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   util::write_u64(out, image.alarm_debounce);
   util::write_u64(out, image.spectral_window);
   util::write_u64(out, image.event_log_capacity);
-  util::write_u8(out, image.incremental_spectral ? 1 : 0);
-  util::write_u64(out, image.spectral_rebuild_every);
 
   util::write_u8(out, static_cast<std::uint8_t>(image.state));
   util::write_u64(out, image.traces_seen);
@@ -98,9 +96,6 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   write_traces(out, image.calibration);
   write_traces(out, image.window);
   util::write_u64(out, image.window_total_pushed);
-  util::write_u64(out, image.spectral_count);
-  util::write_u64(out, image.spectral_updates_since_rebuild);
-  util::write_f64_vec(out, image.spectral_sum);
 
   const core::MonitorStats& s = image.stats;
   util::write_u64(out, s.traces_ingested);
@@ -110,8 +105,6 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   util::write_u64(out, s.per_trace_anomalies);
   util::write_u64(out, s.spectral_passes);
   util::write_u64(out, s.windowed_anomalies);
-  util::write_u64(out, s.spectral_recomputes);
-  util::write_u64(out, s.spectral_incremental_updates);
   util::write_u64(out, s.alarms_latched);
   util::write_u64(out, s.alarms_acknowledged);
   util::write_u64(out, s.events_dropped);
@@ -136,12 +129,6 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   image.alarm_debounce = util::read_u64(in);
   image.spectral_window = util::read_u64(in);
   image.event_log_capacity = util::read_u64(in);
-  const std::uint8_t incremental = util::read_u8(in);
-  EMTS_REQUIRE(incremental <= 1, "monitor state: bad incremental-spectral flag");
-  image.incremental_spectral = incremental == 1;
-  image.spectral_rebuild_every = util::read_u64(in);
-  EMTS_REQUIRE(image.spectral_rebuild_every >= 1,
-               "monitor state: bad spectral rebuild cadence");
 
   const std::uint8_t state = util::read_u8(in);
   EMTS_REQUIRE(state <= static_cast<std::uint8_t>(core::MonitorState::kAlarm),
@@ -188,13 +175,6 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   image.calibration = read_traces(in);
   image.window = read_traces(in);
   image.window_total_pushed = util::read_u64(in);
-  image.spectral_count = util::read_u64(in);
-  image.spectral_updates_since_rebuild = util::read_u64(in);
-  image.spectral_sum = util::read_f64_vec(in);
-  EMTS_REQUIRE(image.spectral_count == 0 || image.spectral_count == image.window.size(),
-               "monitor state: spectral accumulator count disagrees with the window");
-  EMTS_REQUIRE(image.spectral_count == 0 || !image.spectral_sum.empty(),
-               "monitor state: non-empty spectral accumulator with no bins");
 
   core::MonitorStats& s = image.stats;
   s.traces_ingested = util::read_u64(in);
@@ -204,8 +184,6 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   s.per_trace_anomalies = util::read_u64(in);
   s.spectral_passes = util::read_u64(in);
   s.windowed_anomalies = util::read_u64(in);
-  s.spectral_recomputes = util::read_u64(in);
-  s.spectral_incremental_updates = util::read_u64(in);
   s.alarms_latched = util::read_u64(in);
   s.alarms_acknowledged = util::read_u64(in);
   s.events_dropped = util::read_u64(in);
@@ -347,7 +325,7 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   const std::uint32_t version = util::read_u32(in);
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
-                   " (expected 2; v1 snapshots predate the incremental spectral state)");
+                   " (expected 3; v1 and v2 snapshots carry a different monitor-state layout)");
 
   FleetSnapshot snapshot;
   snapshot.shards = util::read_u32(in);

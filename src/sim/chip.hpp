@@ -130,7 +130,7 @@ class Chip {
 
   /// Per-module transient supply currents of one window, in floorplan order
   /// (the raw physical quantity everything else derives from; used by the
-  /// near-field scanner and available for power-analysis research).
+  /// sensor array and the RON baseline).
   std::vector<power::CurrentTrace> module_transients(bool encrypting,
                                                      std::uint64_t trace_index) const {
     return module_currents(encrypting, trace_index);

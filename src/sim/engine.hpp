@@ -83,8 +83,8 @@ class CaptureEngine {
 
   /// Runs fn(0..count-1) across the pool in deterministic-slot style: the
   /// callable must write its result into a slot owned by index `i`. Used by
-  /// the batch APIs and available for custom campaigns (e.g. near-field
-  /// scan grids). Rethrows the first worker exception.
+  /// the batch APIs and available for custom campaigns (e.g. sensor-array
+  /// bundles). Rethrows the first worker exception.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) const;
 
   /// Process-wide engine shared by benches, examples, and tools; sized from

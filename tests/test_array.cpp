@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -18,9 +17,9 @@
 #include "array/localizer.hpp"
 #include "array/monitor.hpp"
 #include "fleet/fleet.hpp"
+#include "scratch_dir.hpp"
 #include "sim/chip.hpp"
 #include "sim/engine.hpp"
-#include "sim/scan.hpp"
 #include "util/assert.hpp"
 
 namespace emts::array {
@@ -168,17 +167,6 @@ TEST(ArrayCapture, BundlesBitIdenticalAcrossRunsAndThreadCounts) {
   EXPECT_NE(a.per_sensor[0].traces[0], a.per_sensor[1].traces[0]);
 }
 
-TEST(ArrayCapture, NearFieldScanDeterministic) {
-  const ArrayWorld& w = world();
-  sim::ScanSpec spec;
-  spec.nx = 6;
-  spec.ny = 6;
-  const sim::ScanMap first = sim::near_field_scan(w.chip, spec, true, 0);
-  const sim::ScanMap second = sim::near_field_scan(w.chip, spec, true, 0);
-  ASSERT_EQ(first.rms.size(), second.rms.size());
-  EXPECT_EQ(first.rms, second.rms);
-}
-
 TEST(ArrayCalibration, RefusesArmedChip) {
   const ArrayWorld& w = world();
   const sim::Chip infected = armed_chip(trojan::TrojanKind::kT4PowerHog);
@@ -188,8 +176,8 @@ TEST(ArrayCalibration, RefusesArmedChip) {
 
 TEST(ArrayArtifact, EmaaRoundTripsBitIdentically) {
   const ArrayWorld& w = world();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "emts_array_test.emaa").string();
+  const emts::test_support::ScratchDir scratch;
+  const std::string path = scratch.path("array.emaa");
   save_array_calibration(path, w.calibration);
   const ArrayCalibration loaded = load_array_calibration(path);
 
@@ -222,7 +210,6 @@ TEST(ArrayArtifact, EmaaRoundTripsBitIdentically) {
     file.put('X');
   }
   EXPECT_THROW(load_array_calibration(path), precondition_error);
-  std::filesystem::remove(path);
 }
 
 TEST(ArrayMonitor, GoldenStreamNeverAlarmsOver64Windows) {

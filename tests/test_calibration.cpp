@@ -12,6 +12,7 @@
 
 #include "baseline/ron.hpp"
 #include "core/monitor.hpp"
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -53,10 +54,9 @@ core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
 class CalibrationArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override { baseline::register_ron_detector(); }
-  void TearDown() override { std::filesystem::remove(path_); }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_calibration_test.emca").string();
+  emts::test_support::ScratchDir scratch_;
+  std::string path_ = scratch_.path("calibration.emca");
 };
 
 TEST_F(CalibrationArtifactTest, RoundTripScoresAreBitIdentical) {

@@ -259,11 +259,11 @@ TEST(SpectralDetector, SingleTraceAnalyzeOverloadWorks) {
   EXPECT_TRUE(report.anomalous());
 }
 
-// analyze_reusing streams the mean spectrum through the packed two-for-one
-// real FFT, so suspect amplitudes match the copying analyze() path to
+// The runtime pair stream_observe + stream_finish sums per-push real-split
+// spectra, so suspect amplitudes match the copying analyze() path to
 // floating-point rounding; anomaly kinds, frequencies and golden references
 // must agree exactly.
-TEST(SpectralDetector, AnalyzeReusingMatchesAnalyze) {
+TEST(SpectralDetector, StreamFinishMatchesAnalyze) {
   const auto det = SpectralDetector::calibrate(golden_set(16));
   emts::Rng rng{60};
   TraceSet suspect;
@@ -271,43 +271,53 @@ TEST(SpectralDetector, AnalyzeReusingMatchesAnalyze) {
   for (int i = 0; i < 8; ++i) suspect.add(infected_trace(rng, 0.4, 72e6));
 
   TraceRing ring{8};
-  for (const auto& t : suspect.traces) ring.push(t);
+  auto scratch = det.make_scratch();
+  for (const auto& t : suspect.traces) {
+    ring.push(t);
+    det.stream_observe(t, kFs, scratch);
+  }
 
   const SpectralReport copied = det.analyze(suspect);
-  auto scratch = det.make_scratch();
-  const SpectralReport& reused = det.analyze_reusing(ring, kFs, scratch);
+  const SpectralReport& streamed = det.stream_finish(ring, kFs, scratch);
 
-  ASSERT_EQ(reused.anomalies.size(), copied.anomalies.size());
+  ASSERT_EQ(streamed.anomalies.size(), copied.anomalies.size());
   ASSERT_TRUE(copied.anomalous());
   for (std::size_t i = 0; i < copied.anomalies.size(); ++i) {
-    EXPECT_EQ(reused.anomalies[i].kind, copied.anomalies[i].kind) << i;
-    EXPECT_EQ(reused.anomalies[i].frequency_hz, copied.anomalies[i].frequency_hz) << i;
+    EXPECT_EQ(streamed.anomalies[i].kind, copied.anomalies[i].kind) << i;
+    EXPECT_EQ(streamed.anomalies[i].frequency_hz, copied.anomalies[i].frequency_hz) << i;
     // Golden amplitudes come straight from calibration state — exact.
-    EXPECT_EQ(reused.anomalies[i].golden_amplitude, copied.anomalies[i].golden_amplitude) << i;
-    // Suspect-side values ride the packed FFT: rounding-level agreement.
-    EXPECT_NEAR(reused.anomalies[i].suspect_amplitude, copied.anomalies[i].suspect_amplitude,
+    EXPECT_EQ(streamed.anomalies[i].golden_amplitude, copied.anomalies[i].golden_amplitude)
+        << i;
+    // Suspect-side values ride the real-split FFT: rounding-level agreement.
+    EXPECT_NEAR(streamed.anomalies[i].suspect_amplitude, copied.anomalies[i].suspect_amplitude,
                 1e-9 * std::abs(copied.anomalies[i].suspect_amplitude)) << i;
-    EXPECT_NEAR(reused.anomalies[i].ratio, copied.anomalies[i].ratio,
+    EXPECT_NEAR(streamed.anomalies[i].ratio, copied.anomalies[i].ratio,
                 1e-9 * std::abs(copied.anomalies[i].ratio)) << i;
   }
 
-  // A second pass through the same scratch reproduces the report.
-  const SpectralReport snapshot = reused;
-  const SpectralReport& again = det.analyze_reusing(ring, kFs, scratch);
+  // A second finish over the same accumulator reproduces the report.
+  const SpectralReport snapshot = streamed;
+  const SpectralReport& again = det.stream_finish(ring, kFs, scratch);
   ASSERT_EQ(again.anomalies.size(), snapshot.anomalies.size());
   for (std::size_t i = 0; i < snapshot.anomalies.size(); ++i) {
     EXPECT_EQ(again.anomalies[i].ratio, snapshot.anomalies[i].ratio) << i;
   }
 }
 
-TEST(SpectralDetector, AnalyzeReusingRejectsBadWindow) {
+TEST(SpectralDetector, StreamObserveRejectsBadInput) {
   const auto det = SpectralDetector::calibrate(golden_set(4));
   auto scratch = det.make_scratch();
+  EXPECT_THROW(det.stream_observe(Trace{}, kFs, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_observe(Trace(kLen, 0.0), kFs / 2.0, scratch),
+               emts::precondition_error);
   TraceRing empty{4};
-  EXPECT_THROW(det.analyze_reusing(empty, kFs, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(empty, kFs, scratch), emts::precondition_error);
+  // The accumulator must hold exactly the window's traces.
   TraceRing ring{4};
   ring.push(Trace(kLen, 0.0));
-  EXPECT_THROW(det.analyze_reusing(ring, kFs / 2.0, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(ring, kFs, scratch), emts::precondition_error);
+  det.stream_observe(ring.newest(), kFs, scratch);
+  EXPECT_THROW(det.stream_finish(ring, kFs / 2.0, scratch), emts::precondition_error);
 }
 
 // Regression: a calibration campaign with a corrupt sample rate must be

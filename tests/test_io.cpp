@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 
 namespace emts::io {
@@ -47,8 +47,8 @@ TEST(Table, NumFormatsPrecision) {
 
 class CsvRoundTrip : public ::testing::Test {
  protected:
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = (std::filesystem::temp_directory_path() / "emts_test.csv").string();
+  emts::test_support::ScratchDir scratch_;
+  std::string path_ = scratch_.path("roundtrip.csv");
 };
 
 TEST_F(CsvRoundTrip, WriteThenReadRecoversData) {

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 
 namespace emts::fleet {
@@ -17,10 +17,9 @@ class ManifestTest : public ::testing::Test {
     std::ofstream out(path_);
     out << text;
   }
-  void TearDown() override { std::filesystem::remove(path_); }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_manifest_test.manifest").string();
+  emts::test_support::ScratchDir scratch_;
+  std::string path_ = scratch_.path("fleet.manifest");
 };
 
 TEST_F(ManifestTest, ParsesDevicesCommentsAndBlankLines) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -193,6 +195,28 @@ TEST(RuntimeMonitor, RejectsBadOptions) {
   bad.alarm_debounce = 0;
   EXPECT_THROW((RuntimeMonitor{kFs, bad}), emts::precondition_error);
   EXPECT_THROW((RuntimeMonitor{0.0, small_options()}), emts::precondition_error);
+}
+
+// A windowed stage the monitor would never run: its windowed pass classifies
+// only the spectral stage, so a stack carrying any other windowed detector
+// is refused up front instead of being silently ignored.
+class WindowedStub : public Detector {
+ public:
+  std::string name() const override { return "windowed-stub"; }
+  std::string describe() const override { return name(); }
+  double score(const Trace&) const override { return 0.0; }
+  double threshold() const override { return 0.0; }
+  bool windowed() const override { return true; }
+  void save(std::ostream&) const override {}
+};
+
+TEST(RuntimeMonitor, RefusesWindowedStageOtherThanSpectral) {
+  const auto fitted = TrustEvaluator::calibrate(make_set(30, false, 47));
+  auto stack = fitted.detectors();
+  stack.push_back(std::make_shared<WindowedStub>());
+  const TrustEvaluator evaluator = TrustEvaluator::assemble(
+      stack, fitted.options().anomalous_fraction_alarm, fitted.sample_rate());
+  EXPECT_THROW((RuntimeMonitor{kFs, evaluator, small_options()}), emts::precondition_error);
 }
 
 TEST(RuntimeMonitor, PreFittedStartsMonitoringImmediately) {
@@ -387,30 +411,6 @@ TEST(RuntimeMonitor, SteadyStatePushIsAllocationFree) {
   const auto after = util::alloc::thread_counts();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
       << "steady-state push allocated " << (after.bytes - before.bytes) << " bytes";
-}
-
-// The batch-recompute spectral path (incremental_spectral = false) keeps the
-// same contract: its window pass runs through the cached analyzer and scratch
-// buffers, so steady-state pushes allocate nothing either.
-TEST(RuntimeMonitor, BatchSpectralSteadyStatePushIsAllocationFree) {
-  if (!util::alloc::counting_active()) {
-    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
-  }
-  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 45));
-  RuntimeMonitor::Options opt = small_options();
-  opt.incremental_spectral = false;
-  RuntimeMonitor monitor{kFs, evaluator, opt};
-  const TraceSet stream = make_set(16, false, 46);
-
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& trace : stream.traces) monitor.push(trace);
-  }
-
-  const auto before = util::alloc::thread_counts();
-  for (const auto& trace : stream.traces) monitor.push(trace);
-  const auto after = util::alloc::thread_counts();
-  EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "steady-state batch push allocated " << (after.bytes - before.bytes) << " bytes";
 }
 
 // ---------- movability (fleet sessions relocate monitors) ----------

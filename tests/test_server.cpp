@@ -25,6 +25,7 @@
 #include "core/evaluator.hpp"
 #include "io/snapshot.hpp"
 #include "io/wire.hpp"
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -118,22 +119,15 @@ std::string encode_frames(const std::string& device_id, const core::TraceSet& ba
 
 class ServerTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::filesystem::remove(socket_path_);
-    std::filesystem::remove(snapshot_path_);
-    std::filesystem::remove(stats_path_);
-  }
+  void TearDown() override { std::filesystem::remove(socket_path_); }
 
   /// Short socket paths: sun_path caps at ~107 bytes and temp dirs can be
   /// deep, so anchor them with the pid under /tmp directly.
   std::string suffix_ = std::to_string(::getpid());
   std::string socket_path_ = "/tmp/emts_test_" + suffix_ + ".sock";
-  std::string snapshot_path_ =
-      (std::filesystem::temp_directory_path() / ("emts_server_test_" + suffix_ + ".emfs"))
-          .string();
-  std::string stats_path_ =
-      (std::filesystem::temp_directory_path() / ("emts_server_test_" + suffix_ + ".json"))
-          .string();
+  emts::test_support::ScratchDir scratch_;
+  std::string snapshot_path_ = scratch_.path("fleet.emfs");
+  std::string stats_path_ = scratch_.path("stats.json");
 };
 
 TEST_F(ServerTest, StreamsFramesIntoTheFleet) {
@@ -329,7 +323,7 @@ TEST_F(ServerTest, ShutdownWritesSnapshotAndStats) {
   std::ifstream stats_file{stats_path_};
   std::stringstream stats;
   stats << stats_file.rdbuf();
-  EXPECT_NE(stats.str().find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(stats.str().find("\"schema_version\":4"), std::string::npos);
   EXPECT_NE(stats.str().find("\"chip-01\""), std::string::npos);
 }
 

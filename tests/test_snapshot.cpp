@@ -18,6 +18,7 @@
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -86,8 +87,6 @@ void expect_stats_eq(const core::MonitorStats& a, const core::MonitorStats& b,
   EXPECT_EQ(a.per_trace_anomalies, b.per_trace_anomalies);
   EXPECT_EQ(a.spectral_passes, b.spectral_passes);
   EXPECT_EQ(a.windowed_anomalies, b.windowed_anomalies);
-  EXPECT_EQ(a.spectral_recomputes, b.spectral_recomputes);
-  EXPECT_EQ(a.spectral_incremental_updates, b.spectral_incremental_updates);
   EXPECT_EQ(a.alarms_latched, b.alarms_latched);
   EXPECT_EQ(a.alarms_acknowledged, b.alarms_acknowledged);
   EXPECT_EQ(a.events_dropped, b.events_dropped);
@@ -119,8 +118,6 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
   EXPECT_EQ(a.alarm_debounce, b.alarm_debounce);
   EXPECT_EQ(a.spectral_window, b.spectral_window);
   EXPECT_EQ(a.event_log_capacity, b.event_log_capacity);
-  EXPECT_EQ(a.incremental_spectral, b.incremental_spectral);
-  EXPECT_EQ(a.spectral_rebuild_every, b.spectral_rebuild_every);
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.traces_seen, b.traces_seen);
   EXPECT_EQ(a.expected_length, b.expected_length);
@@ -143,19 +140,14 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
   EXPECT_EQ(a.calibration, b.calibration);
   EXPECT_EQ(a.window, b.window);
   EXPECT_EQ(a.window_total_pushed, b.window_total_pushed);
-  EXPECT_EQ(a.spectral_count, b.spectral_count);
-  EXPECT_EQ(a.spectral_updates_since_rebuild, b.spectral_updates_since_rebuild);
-  EXPECT_EQ(a.spectral_sum, b.spectral_sum);  // bitwise accumulator identity
   expect_stats_eq(a.stats, b.stats, compare_latency);
   expect_events_eq(a.events, b.events);
 }
 
 class SnapshotFile : public ::testing::Test {
  protected:
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_snapshot_test.emfs").string();
+  emts::test_support::ScratchDir scratch_;
+  std::string path_ = scratch_.path("fleet.emfs");
 };
 
 // ---------- monitor state image serialization ----------
@@ -196,9 +188,8 @@ TEST(MonitorStateSerialization, CorruptStateTagThrows) {
   std::stringstream stream{std::ios::binary | std::ios::in | std::ios::out};
   write_monitor_state(stream, monitor.export_state());
   std::string bytes = stream.str();
-  // The state tag sits after the f64 rate, four u64 mirrors, the incremental
-  // flag (u8) and the rebuild cadence (u64).
-  bytes[8 + 4 * 8 + 1 + 8] = 7;
+  // The state tag sits after the f64 rate and four u64 mirrors.
+  bytes[8 + 4 * 8] = 7;
   std::istringstream corrupt{bytes, std::ios::binary};
   EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
 }
@@ -302,6 +293,34 @@ TEST(MonitorRestore, RefusesEvaluatorPresenceMismatch) {
   EXPECT_THROW(self_calibrating.restore_state(image), emts::precondition_error);
 }
 
+// A full window is analyzed and cleared by the push that fills it, so no
+// export holds one. An image that does must be refused: restored, it would
+// fail the windowed pass's accumulator count check on every later push. The
+// gate must hold for stacks without a spectral stage too.
+TEST(MonitorRestore, RefusesFullSpectralWindow) {
+  for (const bool with_spectral : {true, false}) {
+    core::TrustEvaluator::Options stack;
+    if (!with_spectral) stack.detectors = {"euclidean"};
+    const auto evaluator = core::TrustEvaluator::calibrate(make_set(30, false, 1), stack);
+    core::RuntimeMonitor monitor{kFs, evaluator, small_options()};
+    monitor.push_batch(make_set(7, false, 17));
+    const core::MonitorStateImage partial = monitor.export_state();
+    ASSERT_EQ(partial.window.size(), 7u) << "spectral " << with_spectral;
+
+    core::MonitorStateImage full = partial;
+    full.window.push_back(full.window.back());
+    ++full.window_total_pushed;
+    core::RuntimeMonitor target{kFs, evaluator, small_options()};
+    EXPECT_THROW(target.restore_state(full), emts::precondition_error)
+        << "spectral " << with_spectral;
+
+    core::RuntimeMonitor fresh{kFs, evaluator, small_options()};
+    fresh.restore_state(partial);
+    EXPECT_EQ(fresh.push(make_set(1, false, 18).traces[0]), core::MonitorState::kMonitoring);
+    EXPECT_EQ(fresh.stats().spectral_passes, 1u) << "spectral " << with_spectral;
+  }
+}
+
 // ---------- EMFS container ----------
 
 FleetSnapshot sample_snapshot() {
@@ -381,19 +400,24 @@ TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
 }
 
 TEST_F(SnapshotFile, RefusesV1Container) {
-  // v1 predates the incremental spectral state; the loader must name the
-  // version instead of misparsing the record bytes.
-  save_fleet_snapshot(path_, sample_snapshot());
-  std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
-  const std::uint32_t old_version = 1;
-  file.seekp(4);  // version u32 right after the 4-byte magic
-  file.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
-  file.close();
-  try {
-    load_fleet_snapshot(path_);
-    FAIL() << "v1 container was accepted";
-  } catch (const emts::precondition_error& error) {
-    EXPECT_NE(std::string{error.what()}.find("unsupported version 1"), std::string::npos);
+  // v1 and v2 lay monitor states out differently (v2 carried the spectral
+  // accumulator); the loader must name the version instead of misparsing
+  // the record bytes.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    save_fleet_snapshot(path_, sample_snapshot());
+    std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
+    file.seekp(4);  // version u32 right after the 4-byte magic
+    file.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
+    file.close();
+    try {
+      load_fleet_snapshot(path_);
+      FAIL() << "v" << old_version << " container was accepted";
+    } catch (const emts::precondition_error& error) {
+      EXPECT_NE(std::string{error.what()}.find("unsupported version " +
+                                               std::to_string(old_version)),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

@@ -221,10 +221,8 @@ TEST(SpectrumAnalyzer, AnalyzeMatchesAmplitudeSpectrumBitwise) {
   EXPECT_EQ(analyzer.warmups(), 1u);  // same shape throughout: one cache build
 }
 
-// The streamed mean path packs traces two-per-FFT (two-for-one real
-// transform), so it matches mean_spectrum to floating-point rounding rather
-// than bitwise. Seven traces (odd) also exercise the leftover-signal flush
-// in mean().
+// The streamed mean path runs one half-size real-split FFT per trace, so it
+// matches mean_spectrum to floating-point rounding rather than bitwise.
 TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
   emts::Rng rng{89};
   std::vector<std::vector<double>> signals;
@@ -236,24 +234,24 @@ TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
   const Spectrum copied = mean_spectrum(signals, 1000.0);
 
   SpectrumAnalyzer analyzer;
-  analyzer.begin(512, 1000.0);
-  for (const auto& sig : signals) analyzer.add(sig);
-  const Spectrum& streamed = analyzer.mean();
+  analyzer.ensure_stream(512, 1000.0);
+  for (const auto& sig : signals) analyzer.stream_push(sig);
+  const Spectrum& streamed = analyzer.stream_mean();
 
   ASSERT_EQ(streamed.size(), copied.size());
   double peak = 0.0;
   for (double a : copied.amplitude) peak = std::max(peak, a);
   for (std::size_t k = 0; k < copied.size(); ++k) {
-    // Tight absolute bound relative to the spectrum's scale: the packed and
-    // per-signal transforms differ only by rounding inside the butterflies.
+    // Tight absolute bound relative to the spectrum's scale: the real-split
+    // and full transforms differ only by rounding inside the butterflies.
     EXPECT_NEAR(streamed.amplitude[k], copied.amplitude[k], 1e-12 * peak) << "bin " << k;
   }
 
-  // A second streamed pass over the same traces reproduces itself exactly.
+  // A second streamed pass after a reset reproduces itself exactly.
   std::vector<double> first_pass(streamed.amplitude);
-  analyzer.begin(512, 1000.0);
-  for (const auto& sig : signals) analyzer.add(sig);
-  const Spectrum& again = analyzer.mean();
+  analyzer.stream_reset();
+  for (const auto& sig : signals) analyzer.stream_push(sig);
+  const Spectrum& again = analyzer.stream_mean();
   for (std::size_t k = 0; k < first_pass.size(); ++k) {
     EXPECT_EQ(again.amplitude[k], first_pass[k]) << "bin " << k;
   }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 
+#include "scratch_dir.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -17,8 +18,6 @@ namespace {
 
 class TraceArchiveTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::filesystem::remove(path_); }
-
   core::TraceSet random_set(std::size_t n, std::size_t len, std::uint64_t seed) {
     Rng rng{seed};
     core::TraceSet set;
@@ -31,8 +30,8 @@ class TraceArchiveTest : public ::testing::Test {
     return set;
   }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_archive_test.bin").string();
+  emts::test_support::ScratchDir scratch_;
+  std::string path_ = scratch_.path("archive.bin");
 };
 
 TEST_F(TraceArchiveTest, RoundTripPreservesEverything) {

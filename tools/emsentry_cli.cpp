@@ -130,7 +130,7 @@ void print_usage(std::FILE* stream) {
                "--pin pins each shard worker to a core (Linux, best-effort; only\n"
                "useful while shards <= hardware cores).\n"
                "\n"
-               "--json emits stats schema_version 3 — field-by-field reference in\n"
+               "--json emits stats schema_version 4 — field-by-field reference in\n"
                "docs/STATS_SCHEMA.md; binary container layouts in docs/FORMATS.md.\n"
                "\n"
                "array drives the on-die N x M sensor grid: `calibrate` fits one\n"
@@ -193,9 +193,6 @@ void print_monitor_stats(const core::MonitorStats& stats,
               static_cast<unsigned long long>(stats.per_trace_anomalies),
               static_cast<unsigned long long>(stats.windowed_anomalies),
               static_cast<unsigned long long>(stats.spectral_passes));
-  std::printf("  spectral path: %llu incremental updates, %llu recomputes\n",
-              static_cast<unsigned long long>(stats.spectral_incremental_updates),
-              static_cast<unsigned long long>(stats.spectral_recomputes));
   std::printf("  alarms: latched %llu, acknowledged %llu\n",
               static_cast<unsigned long long>(stats.alarms_latched),
               static_cast<unsigned long long>(stats.alarms_acknowledged));
