@@ -215,41 +215,10 @@ void BM_SpectralAnalyze(benchmark::State& state) {
 BENCHMARK(BM_SpectralAnalyze);
 
 // ---------------------------------------------------------------------------
-// Streaming monitor hot path: the pre-ring per-push loop vs RuntimeMonitor.
+// Streaming monitor hot path: RuntimeMonitor per-push and batched.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kMonitorWindow = 64;
-
-/// The monitoring loop as it existed before the streaming rework, preserved
-/// verbatim for comparison: every score allocates fresh feature buffers, the
-/// spectral window is an accumulated TraceSet copy, and each windowed pass
-/// rebuilds the FFT window/twiddles from scratch.
-class SeedStyleMonitor {
- public:
-  explicit SeedStyleMonitor(const core::TrustEvaluator& evaluator)
-      : evaluator_{evaluator} {
-    window_.sample_rate = evaluator.sample_rate();
-  }
-
-  void push(const core::Trace& trace) {
-    for (const auto& detector : evaluator_.detectors()) {
-      if (detector->windowed()) continue;
-      benchmark::DoNotOptimize(detector->score(trace));
-    }
-    window_.add(trace);
-    if (window_.size() >= kMonitorWindow) {
-      if (const auto* sd = evaluator_.try_spectral()) {
-        const auto report = sd->analyze(window_);
-        benchmark::DoNotOptimize(&report);
-      }
-      window_.traces.clear();
-    }
-  }
-
- private:
-  const core::TrustEvaluator& evaluator_;
-  core::TraceSet window_;
-};
 
 const core::TrustEvaluator& shared_evaluator() {
   static const core::TrustEvaluator evaluator = core::TrustEvaluator::calibrate(shared_golden());
@@ -267,17 +236,6 @@ core::RuntimeMonitor::Options monitor_options() {
   options.spectral_window = kMonitorWindow;
   return options;
 }
-
-void BM_MonitorSeedStylePush(benchmark::State& state) {
-  const auto& stream = shared_stream();
-  SeedStyleMonitor monitor{shared_evaluator()};
-  for (auto _ : state) {
-    for (const auto& trace : stream.traces) monitor.push(trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_MonitorSeedStylePush)->Unit(benchmark::kMillisecond);
 
 void BM_MonitorStreamPush(benchmark::State& state) {
   const auto& stream = shared_stream();
@@ -544,52 +502,29 @@ void write_monitor_run_json(std::ofstream& out, const MonitorRunResult& r) {
       << "    \"spectral_p99_ns\": " << r.spectral_p99_ns << "\n";
 }
 
-/// Direct head-to-head measurement serialized to BENCH_monitor.json: streamed
-/// monitor vs seed-style traces/sec on a 64-trace window, steady-state allocation counts, and the
-/// monitor's own p50/p99 push latency with the tail ratio tracked directly
-/// as push_p99_over_p50 (CI asserts it stays within ~10x).
+/// Streamed-monitor measurement serialized to BENCH_monitor.json: traces/sec
+/// on a 64-trace window, steady-state allocation counts, and the monitor's
+/// own p50/p99 push latency with the tail ratio tracked directly as
+/// push_p99_over_p50 (CI asserts it stays within ~10x).
 void write_monitor_bench_json(const char* path) {
   const auto& stream = shared_stream();
-  const auto& evaluator = shared_evaluator();
   constexpr int kRepeats = 4;
-
-  SeedStyleMonitor seed{evaluator};
-  for (const auto& trace : stream.traces) seed.push(trace);  // equal-footing warm-up
-  auto seed_alloc0 = util::alloc::thread_counts();
-  const auto seed_t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kRepeats; ++r) {
-    for (const auto& trace : stream.traces) seed.push(trace);
-  }
-  const double seed_elapsed = seconds_since(seed_t0);
-  const auto seed_alloc1 = util::alloc::thread_counts();
-
   const MonitorRunResult streamed = run_streamed_monitor(kRepeats);
-
-  const double pushes = static_cast<double>(kRepeats) * static_cast<double>(stream.size());
-  const double seed_rate = pushes / seed_elapsed;
 
   std::ofstream out{path};
   out << "{\n"
       << "  \"window_traces\": " << kMonitorWindow << ",\n"
       << "  \"trace_samples\": " << stream.trace_length() << ",\n"
-      << "  \"measured_pushes\": " << static_cast<std::uint64_t>(pushes) << ",\n"
+      << "  \"measured_pushes\": " << kRepeats * stream.size() << ",\n"
       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"alloc_counting_active\": "
       << (util::alloc::counting_active() ? "true" : "false") << ",\n"
-      << "  \"seed_style\": {\n"
-      << "    \"traces_per_sec\": " << seed_rate << ",\n"
-      << "    \"allocations\": " << (seed_alloc1.allocations - seed_alloc0.allocations)
-      << ",\n"
-      << "    \"allocated_bytes\": " << (seed_alloc1.bytes - seed_alloc0.bytes) << "\n"
-      << "  },\n"
       << "  \"streamed\": {\n";
   write_monitor_run_json(out, streamed);
-  out << "  },\n"
-      << "  \"speedup\": " << (streamed.traces_per_sec / seed_rate) << "\n"
+  out << "  }\n"
       << "}\n";
-  std::printf("monitor hot path: seed %.0f traces/s, streamed %.0f traces/s (%.2fx), "
-              "push p99/p50 %.2f -> %s\n",
-              seed_rate, streamed.traces_per_sec, streamed.traces_per_sec / seed_rate,
+  std::printf("monitor hot path: streamed %.0f traces/s, push p99/p50 %.2f -> %s\n",
+              streamed.traces_per_sec,
               streamed.push_p50_ns > 0.0 ? streamed.push_p99_ns / streamed.push_p50_ns : 0.0,
               path);
 }

@@ -44,9 +44,7 @@ const char* monitor_event_label(MonitorEventKind kind) {
 RuntimeMonitor::RuntimeMonitor(double sample_rate) : RuntimeMonitor(sample_rate, Options{}) {}
 
 RuntimeMonitor::RuntimeMonitor(double sample_rate, const Options& options)
-    : options_{options},
-      sample_rate_{sample_rate},
-      window_{std::max<std::size_t>(options.spectral_window, 1)} {
+    : options_{options}, sample_rate_{sample_rate} {
   validate_options();
   EMTS_REQUIRE(options.calibration_traces >= 3, "monitor needs >= 3 calibration traces");
   calibration_.sample_rate = sample_rate;
@@ -58,9 +56,7 @@ RuntimeMonitor::RuntimeMonitor(double sample_rate, TrustEvaluator evaluator)
 
 RuntimeMonitor::RuntimeMonitor(double sample_rate, TrustEvaluator evaluator,
                                const Options& options)
-    : options_{options},
-      sample_rate_{sample_rate},
-      window_{std::max<std::size_t>(options.spectral_window, 1)} {
+    : options_{options}, sample_rate_{sample_rate} {
   validate_options();
   EMTS_REQUIRE(std::abs(evaluator.sample_rate() - sample_rate) < 1e-6 * sample_rate,
                "pre-fitted evaluator was calibrated at a different sample rate");
@@ -222,14 +218,14 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
 
   // The windowed (spectral) stage re-runs over a tumbling window of recent
   // captures.
-  window_.push(trace);
+  ++window_count_;
   if (spectral_ != nullptr) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
     // into the running window sum; the boundary pass below is then O(bins).
     spectral_->stream_observe(trace, sample_rate_, *spectral_scratch_);
   }
   const bool windowed_anomaly =
-      window_.size() >= options_.spectral_window && run_windowed_pass();
+      window_count_ >= options_.spectral_window && run_windowed_pass();
 
   if (per_trace_anomaly || windowed_anomaly) {
     ++consecutive_anomalies_;
@@ -267,12 +263,12 @@ bool RuntimeMonitor::run_windowed_pass() {
   const std::uint64_t t0 = util::monotonic_ns();
   bool anomalous = false;
   if (spectral_ != nullptr) {
-    last_spectral_ = spectral_->stream_finish(window_, sample_rate_, *spectral_scratch_);
+    last_spectral_ = spectral_->stream_finish(window_count_, sample_rate_, *spectral_scratch_);
     anomalous = last_spectral_->anomalous();
     spectral_scratch_->analyzer.stream_reset();
   }
-  const std::size_t analyzed = window_.size();
-  window_.clear();
+  const std::size_t analyzed = window_count_;
+  window_count_ = 0;
   ++stats_.spectral_passes;
   record_event(MonitorEventKind::kSpectralPass, static_cast<double>(analyzed));
   if (anomalous) {
@@ -299,9 +295,12 @@ MonitorStateImage RuntimeMonitor::export_state() const {
   image.last_score = last_score_;
   image.last_spectral = last_spectral_;
   image.calibration = calibration_.traces;
-  image.window.reserve(window_.size());
-  for (std::size_t i = 0; i < window_.size(); ++i) image.window.push_back(window_.oldest(i));
-  image.window_total_pushed = window_.total_pushed();
+  image.window_count = window_count_;
+  // Only a partial window's sum is state; an idle accumulator exports empty
+  // whether or not it was ever sized, so equal states export equal bytes.
+  if (spectral_ != nullptr && window_count_ > 0) {
+    image.spectral_sum = spectral_scratch_->analyzer.stream_sum();
+  }
   image.stats = stats_;
   // Buffered events, oldest first — the order drain_events() would emit.
   if (!events_.empty()) {
@@ -332,22 +331,42 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
                  "restore_state: image was captured under different monitor options");
     EMTS_REQUIRE(image.calibration.size() < options_.calibration_traces,
                  "restore_state: calibrating image holds a full calibration set");
-    EMTS_REQUIRE(image.window.empty(),
-                 "restore_state: calibrating image holds spectral-window traces");
+    EMTS_REQUIRE(image.window_count == 0,
+                 "restore_state: calibrating image holds a spectral window");
+    // Pending captures must be ones the input gate would have admitted, or
+    // the calibration fit would ingest them unchecked.
+    for (const Trace& trace : image.calibration) {
+      EMTS_REQUIRE(!trace.empty() && trace.size() == image.expected_length &&
+                       std::all_of(trace.begin(), trace.end(),
+                                   [](double v) { return std::isfinite(v); }),
+                   "restore_state: calibration capture the input gate would refuse");
+    }
+  } else {
+    EMTS_REQUIRE(image.expected_length == 0 ||
+                     evaluator_->accepts_trace_length(image.expected_length),
+                 "restore_state: pinned trace length does not fit the evaluator");
   }
   // A full window is analyzed and cleared in the push that fills it, so no
   // export holds one; accepting one would make every later windowed pass
   // fail its accumulator count check.
-  EMTS_REQUIRE(image.window.size() < window_.capacity(),
+  EMTS_REQUIRE(image.window_count < options_.spectral_window,
                "restore_state: image window must hold fewer traces than the spectral window");
+  EMTS_REQUIRE(image.window_count == 0 || image.expected_length != 0,
+               "restore_state: partial window without a pinned trace length");
   EMTS_REQUIRE(image.events.size() <= events_.size() ||
                    (events_.empty() && image.events.empty()),
                "restore_state: image events exceed the event log capacity");
-  EMTS_REQUIRE(image.window_total_pushed >= image.window.size(),
-               "restore_state: inconsistent window push counter");
-  for (const Trace& trace : image.window) {
-    EMTS_REQUIRE(image.expected_length != 0 && trace.size() == image.expected_length,
-                 "restore_state: window trace shape disagrees with the pinned length");
+  const bool sum_expected = spectral_ != nullptr && image.window_count > 0;
+  EMTS_REQUIRE(sum_expected || image.spectral_sum.empty(),
+               "restore_state: spectral sum without a spectral stage and a partial window");
+  if (sum_expected) {
+    // stream_restore() checks the bin count against the pinned length and
+    // every entry before it touches the accumulator; sizing the caches for
+    // that length is value-neutral.
+    spectral_scratch_->analyzer.ensure_stream(static_cast<std::size_t>(image.expected_length),
+                                              sample_rate_);
+    spectral_scratch_->analyzer.stream_restore(
+        image.spectral_sum, static_cast<std::size_t>(image.window_count));
   }
 
   state_ = image.state;
@@ -358,15 +377,7 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   last_score_ = image.last_score;
   last_spectral_ = image.last_spectral;
   calibration_.traces = image.calibration;
-  window_.clear();
-  for (const Trace& trace : image.window) {
-    window_.push(trace);
-    // Re-transform in arrival order: the live sum was built from zero in
-    // this same order by the same deterministic transform, so the rebuilt
-    // sum is bit-identical to the exporter's.
-    if (spectral_ != nullptr) spectral_->stream_observe(trace, sample_rate_, *spectral_scratch_);
-  }
-  window_.restore_total_pushed(image.window_total_pushed);
+  window_count_ = static_cast<std::size_t>(image.window_count);
   stats_ = image.stats;
   event_head_ = events_.empty() ? 0 : image.events.size() % events_.size();
   event_count_ = image.events.size();
@@ -381,7 +392,7 @@ void RuntimeMonitor::acknowledge_alarm() {
   // the alarm would leak into the next windowed pass and could re-latch the
   // alarm on a perfectly clean stream.
   consecutive_anomalies_ = 0;
-  window_.clear();
+  window_count_ = 0;
   if (spectral_ != nullptr) spectral_scratch_->analyzer.stream_reset();
   last_score_.reset();
   last_spectral_.reset();

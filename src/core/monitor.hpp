@@ -7,21 +7,22 @@
 // in the paper's sense: evaluation happens while the system operates, not
 // instantaneously per trace.
 //
-// The hot path is streaming-grade: captures land in a fixed-capacity
-// TraceRing, per-trace detectors score through reusable ScoreScratch
-// buffers, and the spectral pass runs through a cached SpectrumAnalyzer —
-// after one warm-up window, a push performs zero heap allocations. Per-trace
-// scores stay bit-identical to the copying Detector::score() path.
+// The hot path is streaming-grade: per-trace detectors score through
+// reusable ScoreScratch buffers and the spectral pass runs through a cached
+// SpectrumAnalyzer — after one warm-up window, a push performs zero heap
+// allocations. Per-trace scores stay bit-identical to the copying
+// Detector::score() path.
 //
 // The spectral pass is incremental: each push computes the incoming trace's
 // amplitude spectrum once (one half-size real-split FFT) and adds it into a
 // running per-bin sum, so the window-boundary pass is an O(bins) mean +
-// classify instead of W FFTs. Windows tumble (the ring is cleared at every
-// boundary), so the sum never retires an entry and needs no drift control.
-// Anomaly kinds, bins and verdicts agree with SpectralDetector::analyze()
-// over the same window, with ratios equal to within floating-point rounding.
-// MonitorStats and the drainable event log expose what the loop did without
-// perturbing it.
+// classify instead of W FFTs. Captures are not retained: the running sum and
+// a fill count are the whole window state, and a snapshot carries exactly
+// those. Windows tumble (the sum is zeroed at every boundary), so the sum
+// never retires an entry and needs no drift control. Anomaly kinds, bins and
+// verdicts agree with SpectralDetector::analyze() over the same window, with
+// ratios equal to within floating-point rounding. MonitorStats and the
+// drainable event log expose what the loop did without perturbing it.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,6 @@
 #include <optional>
 
 #include "core/evaluator.hpp"
-#include "core/ring.hpp"
 #include "core/trace.hpp"
 #include "util/latency.hpp"
 
@@ -100,11 +100,12 @@ struct MonitorStateImage {
   std::optional<double> last_score;
   std::optional<SpectralReport> last_spectral;
   std::vector<Trace> calibration;       // pending self-calibration captures
-  // Spectral-window ring, oldest first. restore_state() rebuilds the running
-  // spectral sum by re-transforming these traces in arrival order, which is
-  // bit-exact: the live sum was built from zero in that same order.
-  std::vector<Trace> window;
-  std::uint64_t window_total_pushed = 0;
+  // Captures in the current (partial) tumbling window, < spectral_window.
+  std::uint64_t window_count = 0;
+  // The spectral stage's running per-bin amplitude sum over those captures,
+  // bitwise; empty when window_count is 0 or the stack has no spectral
+  // stage. restore_state() reinstates it as is, so restore is bit-exact.
+  std::vector<double> spectral_sum;
   MonitorStats stats;                   // counters + latency histograms
   std::vector<MonitorEvent> events;     // buffered event log, oldest first
 };
@@ -137,7 +138,7 @@ class RuntimeMonitor {
   RuntimeMonitor(double sample_rate, TrustEvaluator evaluator, const Options& options);
 
   /// A monitor is a relocatable value: every member owns its storage by value
-  /// (rings, scratch buffers, cached FFT plans are all vector-backed with no
+  /// (event log, scratch buffers, cached FFT plans are all vector-backed with no
   /// self-references), so a moved-to monitor continues its stream with
   /// bit-identical scores. Copying is disabled — a monitor is the identity of
   /// one capture stream, and a fleet session must never fork it silently.
@@ -238,7 +239,7 @@ class RuntimeMonitor {
   double sample_rate_;
   MonitorState state_ = MonitorState::kCalibrating;
   TraceSet calibration_;
-  TraceRing window_;
+  std::size_t window_count_ = 0;  // captures in the current tumbling window
   std::optional<TrustEvaluator> evaluator_;
   // Cached spectral stage of the bound evaluator (nullptr when the stack has
   // none). Points at the evaluator's heap-owned detector, so it stays valid

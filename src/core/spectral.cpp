@@ -66,13 +66,13 @@ void SpectralDetector::stream_observe(const Trace& trace, double sample_rate,
   scratch.analyzer.stream_push(trace);
 }
 
-const SpectralReport& SpectralDetector::stream_finish(const TraceRing& window,
+const SpectralReport& SpectralDetector::stream_finish(std::size_t window_count,
                                                       double sample_rate,
                                                       SpectralScratch& scratch) const {
-  EMTS_REQUIRE(!window.empty(), "spectral analysis needs traces");
+  EMTS_REQUIRE(window_count > 0, "spectral analysis needs traces");
   EMTS_REQUIRE(std::abs(sample_rate - sample_rate_) < 1e-6 * sample_rate_,
                "suspect sample rate differs from calibration");
-  EMTS_REQUIRE(scratch.analyzer.stream_count() == window.size(),
+  EMTS_REQUIRE(scratch.analyzer.stream_count() == window_count,
                "stream_finish: accumulator count diverged from the window");
 
   const dsp::Spectrum& spectrum = scratch.analyzer.stream_mean();

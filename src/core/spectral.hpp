@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/detector.hpp"
-#include "core/ring.hpp"
 #include "core/trace.hpp"
 #include "dsp/spectrum.hpp"
 
@@ -107,11 +106,12 @@ class SpectralDetector : public Detector {
 
   /// Runtime path, step 2 — call at the window boundary: classifies the
   /// running mean spectrum (an O(bins) pass) against the golden spots. The
-  /// accumulator must hold exactly the window's traces. Amplitudes match
+  /// accumulator must hold exactly the window's `window_count` traces, the
+  /// caller's own fill count, as a cross-check. Amplitudes match
   /// analyze() over the same traces as a TraceSet to floating-point
   /// rounding, so anomaly kinds, bins and verdicts agree with it; the
   /// returned reference stays valid until the next call with this scratch.
-  const SpectralReport& stream_finish(const TraceRing& window, double sample_rate,
+  const SpectralReport& stream_finish(std::size_t window_count, double sample_rate,
                                       SpectralScratch& scratch) const;
 
   /// Folds a typed spectral report into the generic stage form.

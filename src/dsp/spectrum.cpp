@@ -249,6 +249,20 @@ void SpectrumAnalyzer::stream_reset() {
   stream_count_ = 0;
 }
 
+void SpectrumAnalyzer::stream_restore(const std::vector<double>& sum, std::size_t count) {
+  EMTS_REQUIRE(stream_count_ == 0,
+               "SpectrumAnalyzer::stream_restore: accumulator is not empty");
+  EMTS_REQUIRE(!stream_sum_.empty() && sum.size() == stream_sum_.size(),
+               "SpectrumAnalyzer::stream_restore: bin count differs from ensure_stream()");
+  EMTS_REQUIRE(count > 0, "SpectrumAnalyzer::stream_restore: count must be positive");
+  for (const double v : sum) {
+    EMTS_REQUIRE(std::isfinite(v) && v >= 0.0,
+                 "SpectrumAnalyzer::stream_restore: sum entries must be finite and >= 0");
+  }
+  std::copy(sum.begin(), sum.end(), stream_sum_.begin());
+  stream_count_ = count;
+}
+
 const Spectrum& SpectrumAnalyzer::stream_mean() {
   EMTS_REQUIRE(stream_count_ > 0, "SpectrumAnalyzer::stream_mean on an empty accumulator");
   EMTS_REQUIRE(stream_sum_.size() == out_.amplitude.size(),

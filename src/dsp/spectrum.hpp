@@ -73,9 +73,9 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 /// divides the sum by the live count, so a window boundary costs one O(bins)
 /// pass instead of W FFTs. Per-push amplitudes match amplitude_spectrum to
 /// floating-point rounding (a few ULPs per bin), which the tolerance-based
-/// anomaly classification absorbs. The transform is deterministic, so
-/// re-pushing the same signals in the same order after stream_reset()
-/// rebuilds the sum bit-exactly (this is how a snapshot restore recovers it).
+/// anomaly classification absorbs. The running sum and count are the whole
+/// accumulator state: stream_restore() reinstates a saved pair bit-exactly
+/// (this is how a snapshot restore recovers a partial window).
 class SpectrumAnalyzer {
  public:
   explicit SpectrumAnalyzer(const SpectrumOptions& options = {});
@@ -94,6 +94,11 @@ class SpectrumAnalyzer {
   void stream_push(const std::vector<double>& signal);
   /// Zeroes the running sum and count.
   void stream_reset();
+  /// Reinstates a saved running sum and count onto an empty accumulator
+  /// already sized by ensure_stream(). Refuses a sum whose bin count differs
+  /// from the accumulator's, a zero count, and any non-finite or negative
+  /// entry (amplitudes are magnitudes); nothing changes on refusal.
+  void stream_restore(const std::vector<double>& sum, std::size_t count);
   /// Mean of the accumulated spectra; valid until the next analyze()/
   /// stream_mean() call. Requires stream_count() > 0.
   const Spectrum& stream_mean();

@@ -16,16 +16,18 @@ namespace emts::io {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'M', 'F', 'S'};
-// v3: monitor states no longer carry the spectral accumulator or the
-// spectral-mode option mirrors and counters; restore re-derives the running
-// sum from the window. Older containers lay their records out differently,
-// so they are refused rather than guessed at.
-constexpr std::uint32_t kVersion = 3;
+// v4: a monitor state carries its partial spectral window as a fill count
+// and the running per-bin sum, not as raw traces. Older containers lay their
+// records out differently, so they are refused rather than guessed at.
+constexpr std::uint32_t kVersion = 4;
 // A fleet snapshot is an operational artifact, not a data lake: caps sized
 // generously above any believable deployment, tight enough that a corrupt
 // count is refused before it turns into an allocation.
 constexpr std::uint32_t kMaxDevices = 1u << 16;
 constexpr std::uint32_t kMaxBufferedTraces = 1u << 20;
+// The event log is preallocated at restore, so its declared capacity is an
+// allocation request too.
+constexpr std::uint64_t kMaxEventLogCapacity = 1u << 20;
 constexpr std::uint32_t kMaxAnomalies = 1u << 20;
 constexpr std::uint64_t kMaxDeviceBytes = 1ull << 32;
 
@@ -94,8 +96,8 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   }
 
   write_traces(out, image.calibration);
-  write_traces(out, image.window);
-  util::write_u64(out, image.window_total_pushed);
+  util::write_u64(out, image.window_count);
+  util::write_f64_vec(out, image.spectral_sum);
 
   const core::MonitorStats& s = image.stats;
   util::write_u64(out, s.traces_ingested);
@@ -129,6 +131,8 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   image.alarm_debounce = util::read_u64(in);
   image.spectral_window = util::read_u64(in);
   image.event_log_capacity = util::read_u64(in);
+  EMTS_REQUIRE(image.event_log_capacity <= kMaxEventLogCapacity,
+               "monitor state: implausible event log capacity");
 
   const std::uint8_t state = util::read_u8(in);
   EMTS_REQUIRE(state <= static_cast<std::uint8_t>(core::MonitorState::kAlarm),
@@ -173,8 +177,8 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   }
 
   image.calibration = read_traces(in);
-  image.window = read_traces(in);
-  image.window_total_pushed = util::read_u64(in);
+  image.window_count = util::read_u64(in);
+  image.spectral_sum = util::read_f64_vec(in);
 
   core::MonitorStats& s = image.stats;
   s.traces_ingested = util::read_u64(in);
@@ -325,7 +329,9 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   const std::uint32_t version = util::read_u32(in);
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
-                   " (expected 3; v1 and v2 snapshots carry a different monitor-state layout)");
+                   " (expected " + std::to_string(kVersion) + "; v1 to v" +
+                   std::to_string(kVersion - 1) +
+                   " snapshots carry a different monitor-state layout)");
 
   FleetSnapshot snapshot;
   snapshot.shards = util::read_u32(in);

@@ -2,12 +2,12 @@
 // snapshot bundles, per device, the fitted detector stack (an embedded EMCA
 // calibration artifact) and the monitor's complete mutable state (a
 // core::MonitorStateImage), so a restarted daemon resumes monitoring every
-// device — window contents, debounce runs, latched alarms, lifetime stats —
+// device — partial spectral windows, debounce runs, latched alarms, lifetime stats —
 // without recalibration, and continues each stream bit-identically to a
-// process that never died. Format "EMFS" v3:
+// process that never died. Format "EMFS" v4:
 //
 //   magic   'E' 'M' 'F' 'S'
-//   u32     version (3)
+//   u32     version (4)
 //   u32     shard count        (the fleet's layout at snapshot time —
 //   u32     queue capacity      restart defaults; a restored fleet may
 //   u8      backpressure policy re-shard freely, device_hash is stable)
@@ -32,7 +32,7 @@
 // (Device::dirty == false) are streamed verbatim from a
 // FleetSnapshotRecordCache instead of being re-copied and re-encoded, so the
 // cost of a snapshot cut scales with the number of *moved* devices, not the
-// fleet size. The output is always a complete, self-contained EMFS v3
+// fleet size. The output is always a complete, self-contained EMFS v4
 // container, byte-identical to a full rewrite of the same state; there is no
 // delta file format and load_fleet_snapshot needs no changes.
 #pragma once

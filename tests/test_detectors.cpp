@@ -10,7 +10,6 @@
 
 #include "core/detector.hpp"
 #include "core/euclidean.hpp"
-#include "core/ring.hpp"
 #include "core/spectral.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
@@ -270,15 +269,13 @@ TEST(SpectralDetector, StreamFinishMatchesAnalyze) {
   suspect.sample_rate = kFs;
   for (int i = 0; i < 8; ++i) suspect.add(infected_trace(rng, 0.4, 72e6));
 
-  TraceRing ring{8};
   auto scratch = det.make_scratch();
   for (const auto& t : suspect.traces) {
-    ring.push(t);
     det.stream_observe(t, kFs, scratch);
   }
 
   const SpectralReport copied = det.analyze(suspect);
-  const SpectralReport& streamed = det.stream_finish(ring, kFs, scratch);
+  const SpectralReport& streamed = det.stream_finish(suspect.size(), kFs, scratch);
 
   ASSERT_EQ(streamed.anomalies.size(), copied.anomalies.size());
   ASSERT_TRUE(copied.anomalous());
@@ -297,7 +294,7 @@ TEST(SpectralDetector, StreamFinishMatchesAnalyze) {
 
   // A second finish over the same accumulator reproduces the report.
   const SpectralReport snapshot = streamed;
-  const SpectralReport& again = det.stream_finish(ring, kFs, scratch);
+  const SpectralReport& again = det.stream_finish(suspect.size(), kFs, scratch);
   ASSERT_EQ(again.anomalies.size(), snapshot.anomalies.size());
   for (std::size_t i = 0; i < snapshot.anomalies.size(); ++i) {
     EXPECT_EQ(again.anomalies[i].ratio, snapshot.anomalies[i].ratio) << i;
@@ -310,14 +307,11 @@ TEST(SpectralDetector, StreamObserveRejectsBadInput) {
   EXPECT_THROW(det.stream_observe(Trace{}, kFs, scratch), emts::precondition_error);
   EXPECT_THROW(det.stream_observe(Trace(kLen, 0.0), kFs / 2.0, scratch),
                emts::precondition_error);
-  TraceRing empty{4};
-  EXPECT_THROW(det.stream_finish(empty, kFs, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(0, kFs, scratch), emts::precondition_error);
   // The accumulator must hold exactly the window's traces.
-  TraceRing ring{4};
-  ring.push(Trace(kLen, 0.0));
-  EXPECT_THROW(det.stream_finish(ring, kFs, scratch), emts::precondition_error);
-  det.stream_observe(ring.newest(), kFs, scratch);
-  EXPECT_THROW(det.stream_finish(ring, kFs / 2.0, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(1, kFs, scratch), emts::precondition_error);
+  det.stream_observe(Trace(kLen, 0.0), kFs, scratch);
+  EXPECT_THROW(det.stream_finish(1, kFs / 2.0, scratch), emts::precondition_error);
 }
 
 // Regression: a calibration campaign with a corrupt sample rate must be

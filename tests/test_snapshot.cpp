@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,9 +31,9 @@ namespace {
 constexpr double kFs = 384e6;
 constexpr std::size_t kLen = 2048;
 
-core::Trace golden_trace(emts::Rng& rng) {
-  core::Trace t(kLen);
-  for (std::size_t i = 0; i < kLen; ++i) {
+core::Trace golden_trace(emts::Rng& rng, std::size_t len = kLen) {
+  core::Trace t(len);
+  for (std::size_t i = 0; i < len; ++i) {
     t[i] = std::sin(2.0 * units::pi * 48e6 * static_cast<double>(i) / kFs) +
            rng.gaussian(0.0, 0.08);
   }
@@ -54,6 +56,14 @@ core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     set.add(infected ? infected_trace(rng) : golden_trace(rng));
   }
+  return set;
+}
+
+core::TraceSet make_golden_set(std::size_t n, std::size_t len, std::uint64_t seed) {
+  emts::Rng rng{seed};
+  core::TraceSet set;
+  set.sample_rate = kFs;
+  for (std::size_t i = 0; i < n; ++i) set.add(golden_trace(rng, len));
   return set;
 }
 
@@ -138,8 +148,8 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
     }
   }
   EXPECT_EQ(a.calibration, b.calibration);
-  EXPECT_EQ(a.window, b.window);
-  EXPECT_EQ(a.window_total_pushed, b.window_total_pushed);
+  EXPECT_EQ(a.window_count, b.window_count);
+  EXPECT_EQ(a.spectral_sum, b.spectral_sum);
   expect_stats_eq(a.stats, b.stats, compare_latency);
   expect_events_eq(a.events, b.events);
 }
@@ -192,6 +202,31 @@ TEST(MonitorStateSerialization, CorruptStateTagThrows) {
   bytes[8 + 4 * 8] = 7;
   std::istringstream corrupt{bytes, std::ios::binary};
   EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
+}
+
+// The partial window travels as a fill count and a fixed-size per-bin sum,
+// so a record does not grow as the window fills. The event log is off so
+// that an occasional per-trace anomaly event cannot change the size.
+TEST(MonitorStateSerialization, StateSizeIsIndependentOfWindowFill) {
+  constexpr std::size_t kLongLen = 4096;
+  const auto evaluator = core::TrustEvaluator::calibrate(make_golden_set(30, kLongLen, 50));
+  core::RuntimeMonitor::Options options;
+  options.event_log_capacity = 0;
+  core::RuntimeMonitor monitor{kFs, evaluator, options};
+  const core::TraceSet stream = make_golden_set(options.spectral_window - 1, kLongLen, 51);
+
+  const auto serialized_size = [&] {
+    std::ostringstream out{std::ios::binary};
+    write_monitor_state(out, monitor.export_state());
+    return out.str().size();
+  };
+  monitor.push(stream.traces.front());
+  ASSERT_EQ(monitor.export_state().window_count, 1u);
+  ASSERT_EQ(monitor.export_state().spectral_sum.size(), kLongLen / 2 + 1);
+  const std::size_t at_one = serialized_size();
+  for (std::size_t i = 1; i < stream.size(); ++i) monitor.push(stream.traces[i]);
+  ASSERT_EQ(monitor.export_state().window_count, options.spectral_window - 1);
+  EXPECT_EQ(serialized_size(), at_one);
 }
 
 TEST(MonitorStateSerialization, TruncatedStreamThrows) {
@@ -305,11 +340,10 @@ TEST(MonitorRestore, RefusesFullSpectralWindow) {
     core::RuntimeMonitor monitor{kFs, evaluator, small_options()};
     monitor.push_batch(make_set(7, false, 17));
     const core::MonitorStateImage partial = monitor.export_state();
-    ASSERT_EQ(partial.window.size(), 7u) << "spectral " << with_spectral;
+    ASSERT_EQ(partial.window_count, 7u) << "spectral " << with_spectral;
 
     core::MonitorStateImage full = partial;
-    full.window.push_back(full.window.back());
-    ++full.window_total_pushed;
+    ++full.window_count;
     core::RuntimeMonitor target{kFs, evaluator, small_options()};
     EXPECT_THROW(target.restore_state(full), emts::precondition_error)
         << "spectral " << with_spectral;
@@ -318,6 +352,88 @@ TEST(MonitorRestore, RefusesFullSpectralWindow) {
     fresh.restore_state(partial);
     EXPECT_EQ(fresh.push(make_set(1, false, 18).traces[0]), core::MonitorState::kMonitoring);
     EXPECT_EQ(fresh.stats().spectral_passes, 1u) << "spectral " << with_spectral;
+  }
+}
+
+// Every way an image's window state can disagree with itself or with the
+// target monitor is refused, each on its own: the base images restore
+// cleanly, so each refusal is owed to its one mutation.
+TEST(MonitorRestore, RefusesInconsistentSpectralWindow) {
+  enum class Source { kSpectral, kNoSpectral, kCalibrating };
+  core::TrustEvaluator::Options euclidean_only;
+  euclidean_only.detectors = {"euclidean"};
+  const auto no_spectral = core::TrustEvaluator::calibrate(make_set(30, false, 1), euclidean_only);
+  core::RuntimeMonitor::Options calibrating_options = small_options();
+  calibrating_options.calibration_traces = 16;
+
+  const auto make_monitor = [&](Source source) {
+    switch (source) {
+      case Source::kSpectral:
+        return core::RuntimeMonitor{kFs, fitted(), small_options()};
+      case Source::kNoSpectral:
+        return core::RuntimeMonitor{kFs, no_spectral, small_options()};
+      case Source::kCalibrating:
+        break;
+    }
+    return core::RuntimeMonitor{kFs, calibrating_options};
+  };
+  const auto base_image = [&](Source source) {
+    core::RuntimeMonitor monitor = make_monitor(source);
+    monitor.push_batch(make_set(3, false, 19));
+    return monitor.export_state();
+  };
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    Source source;
+    std::function<void(core::MonitorStateImage&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"count equals the spectral window", Source::kSpectral,
+       [](auto& im) { im.window_count = im.spectral_window; }},
+      {"count beyond the spectral window", Source::kSpectral,
+       [](auto& im) { im.window_count = im.spectral_window + 1; }},
+      {"count equals the window, no spectral stage", Source::kNoSpectral,
+       [](auto& im) { im.window_count = im.spectral_window; }},
+      {"sum one bin short", Source::kSpectral, [](auto& im) { im.spectral_sum.pop_back(); }},
+      {"sum one bin long", Source::kSpectral,
+       [](auto& im) { im.spectral_sum.push_back(1.0); }},
+      {"empty sum under a partial window", Source::kSpectral,
+       [](auto& im) { im.spectral_sum.clear(); }},
+      {"NaN sum entry", Source::kSpectral, [&](auto& im) { im.spectral_sum[7] = nan; }},
+      {"infinite sum entry", Source::kSpectral, [&](auto& im) { im.spectral_sum[7] = inf; }},
+      {"negative sum entry", Source::kSpectral,
+       [](auto& im) { im.spectral_sum[7] = -1e-3; }},
+      {"non-empty sum with count 0", Source::kSpectral,
+       [](auto& im) { im.window_count = 0; }},
+      {"sum on a stack with no spectral stage", Source::kNoSpectral,
+       [](auto& im) { im.spectral_sum.assign(kLen / 2 + 1, 1.0); }},
+      {"calibrating image with a window", Source::kCalibrating,
+       [](auto& im) { im.window_count = 1; }},
+      // Restore sizes the analyzer for the pinned length, so a length the
+      // evaluator does not accept must be refused before it allocates.
+      {"pinned length the evaluator refuses", Source::kSpectral,
+       [](auto& im) { im.expected_length = 1ull << 40; }},
+      {"calibration capture of the wrong length", Source::kCalibrating,
+       [](auto& im) { im.calibration[0].pop_back(); }},
+      {"non-finite calibration capture", Source::kCalibrating,
+       [&](auto& im) { im.calibration[0][3] = nan; }},
+  };
+
+  for (const Source source : {Source::kSpectral, Source::kNoSpectral, Source::kCalibrating}) {
+    core::RuntimeMonitor target = make_monitor(source);
+    EXPECT_NO_THROW(target.restore_state(base_image(source)));
+  }
+  ASSERT_EQ(base_image(Source::kSpectral).window_count, 3u);
+  ASSERT_EQ(base_image(Source::kSpectral).spectral_sum.size(), kLen / 2 + 1);
+  ASSERT_TRUE(base_image(Source::kNoSpectral).spectral_sum.empty());
+  for (const Case& c : cases) {
+    core::MonitorStateImage image = base_image(c.source);
+    c.mutate(image);
+    core::RuntimeMonitor target = make_monitor(c.source);
+    EXPECT_THROW(target.restore_state(image), emts::precondition_error) << c.name;
   }
 }
 
@@ -400,10 +516,10 @@ TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
 }
 
 TEST_F(SnapshotFile, RefusesV1Container) {
-  // v1 and v2 lay monitor states out differently (v2 carried the spectral
-  // accumulator); the loader must name the version instead of misparsing
-  // the record bytes.
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  // v1 to v3 lay monitor states out differently (v2 carried the spectral
+  // accumulator, v3 the raw window traces); the loader must name the
+  // version instead of misparsing the record bytes.
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     save_fleet_snapshot(path_, sample_snapshot());
     std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
     file.seekp(4);  // version u32 right after the 4-byte magic

@@ -263,8 +263,8 @@ TEST(RuntimeMonitorIncremental, WindowedReportsMatchOfflineAnalyze) {
 
 // Export mid-window (a partially accumulated spectral sum in flight), restore
 // into a fresh monitor, and finish the stream in both worlds: the accumulator
-// that restore rebuilds by re-transforming the window continues
-// bit-identically to the uninterrupted one.
+// that restore reinstates from the image's sum continues bit-identically to
+// the uninterrupted one.
 TEST(RuntimeMonitorIncremental, SnapshotRestoreMidWindowContinuesBitIdentically) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 940));
   RuntimeMonitor reference{kFs, evaluator, small_options()};
@@ -288,8 +288,8 @@ TEST(RuntimeMonitorIncremental, SnapshotRestoreMidWindowContinuesBitIdentically)
     if (exporter.state() == MonitorState::kAlarm) exporter.acknowledge_alarm();
   }
   const MonitorStateImage image = exporter.export_state();
-  ASSERT_GT(image.window.size(), 0u);
-  ASSERT_LT(image.window.size(), 8u);  // genuinely mid-window
+  ASSERT_GT(image.window_count, 0u);
+  ASSERT_LT(image.window_count, 8u);  // genuinely mid-window
 
   RuntimeMonitor restored{kFs, evaluator, small_options()};
   restored.restore_state(image);

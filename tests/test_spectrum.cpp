@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -255,6 +256,54 @@ TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
   for (std::size_t k = 0; k < first_pass.size(); ++k) {
     EXPECT_EQ(again.amplitude[k], first_pass[k]) << "bin " << k;
   }
+}
+
+// A saved sum and count reinstated onto a fresh accumulator continue
+// bit-exactly: the sum is the whole accumulator state.
+TEST(SpectrumAnalyzer, StreamRestoreContinuesBitExactly) {
+  emts::Rng rng{90};
+  std::vector<std::vector<double>> signals;
+  for (int t = 0; t < 6; ++t) {
+    auto sig = tone(125.0, 1000.0, 512, 1.0);
+    for (double& v : sig) v += rng.gaussian(0.0, 0.5);
+    signals.push_back(std::move(sig));
+  }
+  SpectrumAnalyzer reference;
+  reference.ensure_stream(512, 1000.0);
+  for (int t = 0; t < 3; ++t) reference.stream_push(signals[t]);
+  const std::vector<double> saved = reference.stream_sum();
+
+  SpectrumAnalyzer restored;
+  restored.ensure_stream(512, 1000.0);
+  restored.stream_restore(saved, 3);
+  for (int t = 3; t < 6; ++t) {
+    reference.stream_push(signals[t]);
+    restored.stream_push(signals[t]);
+  }
+  EXPECT_EQ(restored.stream_count(), 6u);
+  EXPECT_EQ(restored.stream_sum(), reference.stream_sum());
+}
+
+TEST(SpectrumAnalyzer, StreamRestoreRefusesBadState) {
+  SpectrumAnalyzer analyzer;
+  analyzer.ensure_stream(512, 1000.0);
+  const std::vector<double> good(257, 1.0);
+  EXPECT_THROW(analyzer.stream_restore(std::vector<double>(256, 1.0), 2),
+               emts::precondition_error);
+  EXPECT_THROW(analyzer.stream_restore(good, 0), emts::precondition_error);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1e-9}) {
+    std::vector<double> sum = good;
+    sum[100] = bad;
+    EXPECT_THROW(analyzer.stream_restore(sum, 2), emts::precondition_error) << bad;
+  }
+  EXPECT_EQ(analyzer.stream_count(), 0u);  // nothing changes on refusal
+
+  SpectrumAnalyzer unsized;
+  EXPECT_THROW(unsized.stream_restore(good, 2), emts::precondition_error);
+
+  analyzer.stream_restore(good, 2);
+  EXPECT_THROW(analyzer.stream_restore(good, 2), emts::precondition_error);  // not empty
 }
 
 TEST(SpectrumAnalyzer, RewarmsOnShapeChangeOnly) {
