@@ -1,24 +1,24 @@
 // Multicore fleet-scaling rig: a load generator that drives FleetMonitor
-// from N producer threads and sweeps shards x devices x backpressure policy
-// x batch size, measuring sustained scored-traces/sec per configuration.
-// This is the harness behind the "near-linear traces/sec up to shards ~=
-// cores under BLOCK" target: run it on real multicore hardware and read the
-// speedup keys. Every row records whether the run was oversubscribed
-// (producers + shard workers > hardware threads) — on a one-core host the
-// numbers are contention measurements, not capacities, and the JSON says so
-// (hardware_threads is the first key for exactly that reason, matching
-// BENCH_daemon.json).
+// from producer threads with per-trace submit() and sweeps shards x devices
+// x backpressure policy x producers, measuring sustained scored-traces/sec
+// per configuration. Every row is the median of kRepeats runs, reported
+// with the min and max. Every row records whether the run was
+// oversubscribed (producers + shard workers > hardware threads); an
+// oversubscribed row measures contention, not capacity, and the JSON says
+// so (hardware_threads is the first key for exactly that reason, matching
+// BENCH_daemon.json). The sweep includes rows that fit the machine
+// (producers + shards <= hardware threads) whenever it has 2 or more.
 //
-// The rig also re-proves the fleet's core guarantee on the batched path: a
-// bit-identity pass compares per-device results (last score, counters,
-// state) against standalone RuntimeMonitors and the process exits non-zero
-// on any mismatch, so a recorded BENCH_fleet_scale.json implies the exact-EQ
+// The rig also re-proves the fleet's core guarantee: a bit-identity pass
+// feeds each device's stream from its own producer thread through a small
+// kBlock queue and compares per-device results (last score, counters,
+// state) against standalone RuntimeMonitors. The process exits non-zero on
+// any mismatch, so a recorded BENCH_fleet_scale.json implies the exact-EQ
 // guarantee held on that machine.
 //
 // Usage: perf_fleet_scale [out.json] [--smoke]
-//   --smoke: one small configuration, 3 repeats per row (best-of, stable on
-//   noisy single-core CI). The CI step reads the emitted JSON and asserts
-//   the batched row's rate >= the per-trace row's.
+//   --smoke: one small configuration (CI). The CI step reads the emitted
+//   JSON and asserts the bit-identity pass and a nonzero rate per row.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -42,6 +42,7 @@ namespace {
 constexpr double kFs = 384e6;
 constexpr std::size_t kLen = 2048;
 constexpr std::size_t kQueueCapacity = 64;
+constexpr std::size_t kRepeats = 5;  // odd, so the median is one run
 
 core::Trace golden_trace(Rng& rng) {
   core::Trace t(kLen);
@@ -70,98 +71,88 @@ struct Row {
   std::size_t shards = 0;
   std::size_t devices = 0;
   const char* policy = "BLOCK";
-  std::size_t batch_size = 1;
   std::size_t producers = 0;
-  double traces_per_sec = 0.0;
-  std::uint64_t processed = 0;
+  double traces_per_sec = 0.0;  // median over kRepeats runs
+  double traces_per_sec_min = 0.0;
+  double traces_per_sec_max = 0.0;
+  std::uint64_t processed = 0;  // in the median run
   bool oversubscribed = false;
   bool pinned = false;
 };
 
-/// One measured configuration: `producers` threads partition the devices and
-/// push `traces_per_device` each, as per-trace submits (batch_size 1) or
-/// submit_batch chunks. The per-device chunk TraceSets are pre-built outside
-/// the timed region so both paths pay identical trace-copy cost inside it.
-Row run_row(const core::TrustEvaluator& evaluator, std::size_t shards,
-            std::size_t devices, fleet::BackpressurePolicy policy,
-            std::size_t batch_size, std::size_t traces_per_device,
-            unsigned hardware_threads, std::size_t repeats) {
+/// One measured configuration: `producers` threads partition the devices
+/// and each submits `stream` to every device it owns, trace-major and
+/// device-minor (interleaved arrival across its devices, the shape a shared
+/// capture front-end produces).
+Row run_row(const core::TrustEvaluator& evaluator, const core::TraceSet& stream,
+            std::size_t shards, std::size_t devices, std::size_t producers,
+            fleet::BackpressurePolicy policy, unsigned hardware_threads) {
   Row row;
   row.shards = shards;
   row.devices = devices;
   row.policy = fleet::backpressure_label(policy);
-  row.batch_size = batch_size;
-  row.producers = std::min<std::size_t>(devices, 4);
+  row.producers = producers;
   row.pinned = hardware_threads > 1 && shards <= hardware_threads;
-  row.oversubscribed =
-      hardware_threads > 0 && row.producers + shards > hardware_threads;
+  row.oversubscribed = hardware_threads > 0 && producers + shards > hardware_threads;
 
-  // Pre-build every producer's submission plan: per device, a list of
-  // batch_size-trace chunks (the same synthetic stream for every device).
-  const core::TraceSet stream = make_set(traces_per_device, 42);
-  std::vector<core::TraceSet> chunks;
-  for (std::size_t start = 0; start < traces_per_device; start += batch_size) {
-    core::TraceSet chunk;
-    chunk.sample_rate = kFs;
-    const std::size_t end = std::min(traces_per_device, start + batch_size);
-    for (std::size_t t = start; t < end; ++t) chunk.add(core::Trace{stream.traces[t]});
-    chunks.push_back(std::move(chunk));
-  }
+  std::vector<std::string> ids;
+  for (std::size_t d = 0; d < devices; ++d) ids.push_back(device_id(d));
 
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
+  struct Run {
+    double rate = 0.0;
+    std::uint64_t processed = 0;
+  };
+  std::vector<Run> runs;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
     fleet::FleetOptions options;
     options.shards = shards;
     options.queue_capacity = kQueueCapacity;
     options.backpressure = policy;
     options.pin_workers = row.pinned;
     fleet::FleetMonitor fleet{options};
-    for (std::size_t d = 0; d < devices; ++d) fleet.add_device(device_id(d), evaluator);
+    for (const std::string& id : ids) fleet.add_device(id, evaluator);
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < row.producers; ++p) {
-      producers.emplace_back([&, p] {
-        // Chunk-major, device-minor: interleaved arrival across this
-        // producer's devices, the shape a shared capture front-end produces.
-        for (const core::TraceSet& chunk : chunks) {
-          for (std::size_t d = p; d < devices; d += row.producers) {
-            if (batch_size == 1) {
-              (void)fleet.submit(device_id(d), core::Trace{chunk.traces[0]});
-            } else {
-              (void)fleet.submit_batch(device_id(d), chunk);
-            }
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < producers; ++p) {
+      threads.emplace_back([&, p] {
+        for (const core::Trace& trace : stream.traces) {
+          for (std::size_t d = p; d < devices; d += producers) {
+            (void)fleet.submit(ids[d], core::Trace{trace});
           }
         }
       });
     }
-    for (std::thread& t : producers) t.join();
+    for (std::thread& t : threads) t.join();
     fleet.flush();
     const double elapsed = seconds_since(t0);
 
-    // Scored traces per second: under REJECT the queue sheds load, so the
-    // processed count (not the offered count) is the honest numerator.
-    const fleet::FleetStats stats = fleet.stats();
-    const double rate = static_cast<double>(stats.traces_processed) / elapsed;
-    if (rate > row.traces_per_sec) {
-      row.traces_per_sec = rate;
-      row.processed = stats.traces_processed;
-    }
+    // Scored traces per second: under REJECT/DROP_OLDEST the queue sheds
+    // load, so the processed count (not the offered count) is the honest
+    // numerator.
+    const std::uint64_t processed = fleet.stats().traces_processed;
+    runs.push_back({static_cast<double>(processed) / elapsed, processed});
   }
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& a, const Run& b) { return a.rate < b.rate; });
+  row.traces_per_sec = runs[runs.size() / 2].rate;
+  row.processed = runs[runs.size() / 2].processed;
+  row.traces_per_sec_min = runs.front().rate;
+  row.traces_per_sec_max = runs.back().rate;
   return row;
 }
 
-/// Bit-identity pass on the batched path: every device's stream through
-/// submit_batch must leave the exact per-device results a standalone
-/// RuntimeMonitor produces. Returns false (and prints the offender) on any
-/// mismatch.
+/// Bit-identity pass: one producer thread per device streams it per trace
+/// through a 4-slot kBlock queue (constant flow control), and every device
+/// must end with the exact results a standalone RuntimeMonitor produces.
+/// Returns false (and prints the offender) on any mismatch.
 bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
   constexpr std::size_t kDevices = 4;
   constexpr std::size_t kPerDevice = 24;
-  constexpr std::size_t kBatch = 8;
 
   fleet::FleetOptions options;
   options.shards = 2;
-  options.queue_capacity = kQueueCapacity;
+  options.queue_capacity = 4;
   options.backpressure = fleet::BackpressurePolicy::kBlock;
   fleet::FleetMonitor fleet{options};
 
@@ -174,16 +165,15 @@ bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
     streams.push_back(make_set(kPerDevice, 500 + d));
   }
 
-  for (std::size_t start = 0; start < kPerDevice; start += kBatch) {
-    for (std::size_t d = 0; d < kDevices; ++d) {
-      core::TraceSet chunk;
-      chunk.sample_rate = kFs;
-      for (std::size_t t = start; t < std::min(kPerDevice, start + kBatch); ++t) {
-        chunk.add(core::Trace{streams[d].traces[t]});
+  std::vector<std::thread> producers;
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    producers.emplace_back([&, d] {
+      for (const core::Trace& trace : streams[d].traces) {
+        (void)fleet.submit(device_id(d), core::Trace{trace});
       }
-      fleet.submit_batch(device_id(d), chunk);
-    }
+    });
   }
+  for (std::thread& t : producers) t.join();
   fleet.flush();
   for (std::size_t d = 0; d < kDevices; ++d) {
     for (const core::Trace& trace : streams[d].traces) standalone[d].push(trace);
@@ -209,10 +199,10 @@ bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
 }
 
 double find_rate(const std::vector<Row>& rows, std::size_t shards, std::size_t devices,
-                 const char* policy, std::size_t batch_size) {
+                 std::size_t producers) {
   for (const Row& row : rows) {
-    if (row.shards == shards && row.devices == devices && row.batch_size == batch_size &&
-        std::strcmp(row.policy, policy) == 0) {
+    if (row.shards == shards && row.devices == devices && row.producers == producers &&
+        std::strcmp(row.policy, "BLOCK") == 0) {
       return row.traces_per_sec;
     }
   }
@@ -241,14 +231,16 @@ int main(int argc, char** argv) {
   std::printf("  bit-identity vs standalone monitors: %s\n",
               bit_identical ? "PASS" : "FAIL");
 
+  const core::TraceSet stream = make_set(smoke ? 48 : 512, 42);
   std::vector<Row> rows;
-  const auto sweep = [&](std::size_t shards, std::size_t devices,
-                         fleet::BackpressurePolicy policy, std::size_t batch_size,
-                         std::size_t traces_per_device, std::size_t repeats) {
-    Row row = run_row(evaluator, shards, devices, policy, batch_size, traces_per_device,
-                      hardware_threads, repeats);
-    std::printf("  shards %zu devices %2zu %-11s batch %2zu: %7.0f traces/s%s\n",
-                row.shards, row.devices, row.policy, row.batch_size, row.traces_per_sec,
+  const auto sweep = [&](std::size_t shards, std::size_t devices, std::size_t producers,
+                         fleet::BackpressurePolicy policy) {
+    const Row row =
+        run_row(evaluator, stream, shards, devices, producers, policy, hardware_threads);
+    std::printf("  shards %zu devices %2zu producers %zu %-11s: %7.0f traces/s"
+                " [%.0f, %.0f]%s\n",
+                row.shards, row.devices, row.producers, row.policy, row.traces_per_sec,
+                row.traces_per_sec_min, row.traces_per_sec_max,
                 row.oversubscribed ? " (oversubscribed)" : "");
     if (row.oversubscribed) {
       std::fprintf(stderr,
@@ -260,75 +252,63 @@ int main(int argc, char** argv) {
   };
 
   if (smoke) {
-    // CI configuration: one shard count, per-trace vs batched, best-of-3.
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-      sweep(2, 8, fleet::BackpressurePolicy::kBlock, batch, 48, 3);
-    }
+    sweep(2, 8, 4, fleet::BackpressurePolicy::kBlock);
   } else {
-    // The scaling story: shards sweep under BLOCK, per-trace vs batched.
+    // The scaling story under BLOCK: four producers against 1, 2, 4 shards.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       for (const std::size_t devices : {std::size_t{4}, std::size_t{16}}) {
-        for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-          sweep(shards, devices, fleet::BackpressurePolicy::kBlock, batch, 64, 1);
-        }
+        sweep(shards, devices, 4, fleet::BackpressurePolicy::kBlock);
+      }
+    }
+    // Rows that fit the machine: producers + shards <= hardware threads.
+    if (hardware_threads >= 2) {
+      sweep(1, 16, 1, fleet::BackpressurePolicy::kBlock);
+      for (std::size_t shards = 1; shards < std::min<std::size_t>(hardware_threads, 5);
+           ++shards) {
+        const std::size_t producers = std::min<std::size_t>(hardware_threads - shards, 4);
+        if (shards == 1 && producers == 1) continue;  // already swept
+        sweep(shards, 16, producers, fleet::BackpressurePolicy::kBlock);
       }
     }
     // Policy behavior at the largest configuration.
     for (const fleet::BackpressurePolicy policy :
          {fleet::BackpressurePolicy::kDropOldest, fleet::BackpressurePolicy::kReject}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-        sweep(4, 16, policy, batch, 64, 1);
-      }
+      sweep(4, 16, 4, policy);
     }
   }
 
-  // Summary ratios (0 when the sweep didn't include the rows — smoke mode).
-  const std::size_t top_shards = smoke ? 2 : 4;
-  const std::size_t top_devices = smoke ? 8 : 16;
-  const double batched = find_rate(rows, top_shards, top_devices, "BLOCK", 16);
-  const double per_trace = find_rate(rows, top_shards, top_devices, "BLOCK", 1);
-  const double batched_over_per_trace = per_trace > 0.0 ? batched / per_trace : 0.0;
-  const double scale_batched = find_rate(rows, 1, 16, "BLOCK", 16) > 0.0
-                                   ? find_rate(rows, 4, 16, "BLOCK", 16) /
-                                         find_rate(rows, 1, 16, "BLOCK", 16)
-                                   : 0.0;
-  const double scale_per_trace = find_rate(rows, 1, 16, "BLOCK", 1) > 0.0
-                                     ? find_rate(rows, 4, 16, "BLOCK", 1) /
-                                           find_rate(rows, 1, 16, "BLOCK", 1)
-                                     : 0.0;
+  // 1 -> 4 shard speedup at 16 devices and four producers (0 in smoke mode).
+  const double one_shard = find_rate(rows, 1, 16, 4);
+  const double speedup = one_shard > 0.0 ? find_rate(rows, 4, 16, 4) / one_shard : 0.0;
   if (!smoke) {
-    std::printf("  1->4 shard speedup at 16 devices (BLOCK): batched %.2fx, per-trace %.2fx\n",
-                scale_batched, scale_per_trace);
+    std::printf("  1->4 shard speedup at 16 devices (BLOCK, 4 producers): %.2fx\n", speedup);
   }
-  std::printf("  batched over per-trace at %zu shards / %zu devices: %.2fx\n", top_shards,
-              top_devices, batched_over_per_trace);
 
   std::ofstream out{out_path};
   out << "{\n";
   out << "  \"hardware_threads\": " << hardware_threads << ",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"trace_samples\": " << kLen << ",\n";
+  out << "  \"traces_per_device\": " << stream.size() << ",\n";
   out << "  \"queue_capacity\": " << kQueueCapacity << ",\n";
+  out << "  \"repetitions\": " << kRepeats << ",\n";
   out << "  \"bit_identical_to_standalone\": " << (bit_identical ? "true" : "false")
       << ",\n";
   out << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     out << "    {\"shards\": " << row.shards << ", \"devices\": " << row.devices
-        << ", \"policy\": \"" << row.policy << "\", \"batch_size\": " << row.batch_size
-        << ", \"producers\": " << row.producers
+        << ", \"policy\": \"" << row.policy << "\", \"producers\": " << row.producers
         << ", \"traces_per_sec\": " << row.traces_per_sec
+        << ", \"traces_per_sec_min\": " << row.traces_per_sec_min
+        << ", \"traces_per_sec_max\": " << row.traces_per_sec_max
         << ", \"processed\": " << row.processed
         << ", \"oversubscribed\": " << (row.oversubscribed ? "true" : "false")
         << ", \"pinned\": " << (row.pinned ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"speedup_1_to_4_shards_at_16_devices_block_batched\": " << scale_batched
-      << ",\n";
-  out << "  \"speedup_1_to_4_shards_at_16_devices_block_per_trace\": " << scale_per_trace
-      << ",\n";
-  out << "  \"batched_over_per_trace\": " << batched_over_per_trace << "\n";
+  out << "  \"speedup_1_to_4_shards_at_16_devices_block\": " << speedup << "\n";
   out << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return bit_identical ? 0 : 1;

@@ -44,8 +44,10 @@ void submit_bundle(fleet::FleetMonitor& fleet, const std::string& device_id,
 
 void submit_bundles(fleet::FleetMonitor& fleet, const std::string& device_id,
                     const BundleSet& bundles) {
-  for (std::size_t s = 0; s < bundles.sensor_count(); ++s) {
-    fleet.submit_batch(sensor_device_id(device_id, s), bundles.per_sensor[s]);
+  for (std::size_t w = 0; w < bundles.windows(); ++w) {
+    for (std::size_t s = 0; s < bundles.sensor_count(); ++s) {
+      fleet.submit(sensor_device_id(device_id, s), bundles.per_sensor[s].traces[w]);
+    }
   }
 }
 

@@ -36,8 +36,8 @@ void add_array_device(fleet::FleetMonitor& fleet, const std::string& device_id,
 void submit_bundle(fleet::FleetMonitor& fleet, const std::string& device_id,
                    const Bundle& bundle);
 
-/// Batched form: each sensor's whole trace sequence goes through one
-/// submit_batch reservation, preserving window order per sensor.
+/// Every window of a BundleSet, in window order, as submit_bundle would route
+/// them one bundle at a time.
 void submit_bundles(fleet::FleetMonitor& fleet, const std::string& device_id,
                     const BundleSet& bundles);
 

@@ -151,41 +151,29 @@ void FleetMonitor::note_high_water(Shard& shard) {
   }
 }
 
-FleetMonitor::EnqueueOutcome FleetMonitor::enqueue_work(Shard& shard, WorkItem* items,
-                                                        std::size_t n) {
-  EnqueueOutcome out;
-  std::size_t i = 0;
+SubmitResult FleetMonitor::enqueue_work(Shard& shard, WorkItem&& item) {
+  bool evicted = false;
   bool counted_block = false;
-  while (i < n) {
-    const std::size_t took = shard.queue.try_enqueue(items + i, n - i);
-    if (took > 0) {
-      i += took;
-      out.accepted += took;
-      shard.submitted.fetch_add(took, std::memory_order_relaxed);
-      note_high_water(shard);
-      wake_worker(shard);
-      continue;
-    }
+  while (!shard.queue.try_enqueue(std::move(item))) {
     // Ring full: apply the policy, then retry (another producer may race us
     // for any slot we free, so every pass re-attempts the enqueue).
     switch (options_.backpressure) {
       case BackpressurePolicy::kReject:
-        shard.rejected_full.fetch_add(n - i, std::memory_order_relaxed);
-        return out;
+        shard.rejected_full.fetch_add(1, std::memory_order_relaxed);
+        return SubmitResult::kRejected;
       case BackpressurePolicy::kDropOldest: {
         // The producer acts as a consumer for one slot: MPMC dequeue of the
         // oldest queued capture, destroyed on scope exit.
         WorkItem victim;
-        if (shard.queue.try_dequeue(&victim, 1) == 1) {
+        if (shard.queue.try_dequeue(victim)) {
           shard.dropped_oldest.fetch_add(1, std::memory_order_relaxed);
-          out.evicted = true;
+          evicted = true;
         }
         continue;
       }
       case BackpressurePolicy::kBlock: {
         if (!counted_block) {
-          // One wait episode per call (submit() keeps its one-per-submission
-          // meaning; a batch counts each time it has to park).
+          // One wait episode per submission, however often it re-parks.
           shard.blocked.fetch_add(1, std::memory_order_relaxed);
           counted_block = true;
         }
@@ -203,14 +191,17 @@ FleetMonitor::EnqueueOutcome FleetMonitor::enqueue_work(Shard& shard, WorkItem* 
         if (shard.stopping.load(std::memory_order_relaxed)) {
           // Shutdown raced the wait; refuse rather than enqueue into a
           // draining fleet.
-          shard.rejected_full.fetch_add(n - i, std::memory_order_relaxed);
-          return out;
+          shard.rejected_full.fetch_add(1, std::memory_order_relaxed);
+          return SubmitResult::kRejected;
         }
         continue;
       }
     }
   }
-  return out;
+  shard.submitted.fetch_add(1, std::memory_order_relaxed);
+  note_high_water(shard);
+  wake_worker(shard);
+  return evicted ? SubmitResult::kReplacedOldest : SubmitResult::kAccepted;
 }
 
 SubmitResult FleetMonitor::submit(const std::string& device_id, core::Trace trace) {
@@ -219,24 +210,7 @@ SubmitResult FleetMonitor::submit(const std::string& device_id, core::Trace trac
   EMTS_REQUIRE(session != nullptr, "unknown device '" + device_id + "'");
   // Sessions are never removed, so `session` stays valid after the lookup
   // lock drops; its shard assignment is immutable.
-  WorkItem item{session, std::move(trace)};
-  const EnqueueOutcome out = enqueue_work(*shards_[session->shard], &item, 1);
-  if (out.accepted == 0) return SubmitResult::kRejected;
-  return out.evicted ? SubmitResult::kReplacedOldest : SubmitResult::kAccepted;
-}
-
-std::size_t FleetMonitor::submit_batch(const std::string& device_id,
-                                       const core::TraceSet& batch) {
-  EMTS_REQUIRE(!batch.empty(), "submit_batch needs traces");
-  EMTS_REQUIRE(batch.trace_length() > 0, "cannot submit empty traces");
-  Session* session = find_session(device_id);
-  EMTS_REQUIRE(session != nullptr, "unknown device '" + device_id + "'");
-  std::vector<WorkItem> items;
-  items.reserve(batch.size());
-  for (const core::Trace& trace : batch.traces) {
-    items.push_back(WorkItem{session, core::Trace{trace}});
-  }
-  return enqueue_work(*shards_[session->shard], items.data(), items.size()).accepted;
+  return enqueue_work(*shards_[session->shard], WorkItem{session, std::move(trace)});
 }
 
 SubmitResult FleetMonitor::submit_frame(io::wire::TraceFrame&& frame) {
@@ -248,40 +222,8 @@ SubmitResult FleetMonitor::submit_frame(io::wire::TraceFrame&& frame) {
   EMTS_REQUIRE(std::abs(frame.sample_rate - expected) <= 1e-6 * expected,
                "frame sample rate for '" + frame.device_id +
                    "' disagrees with the session's calibration");
-  return submit(frame.device_id, std::move(frame.trace));
-}
-
-FrameBatchOutcome FleetMonitor::submit_frames(std::vector<io::wire::TraceFrame>&& frames) {
-  FrameBatchOutcome out;
-  if (frames.empty()) return out;
-
-  // Vet every frame up front, grouping the valid ones by shard in arrival
-  // order — one device's frames land in one group, still in order, so the
-  // bulk reservation preserves per-device FIFO.
-  std::vector<std::vector<WorkItem>> groups(shards_.size());
-  for (io::wire::TraceFrame& frame : frames) {
-    Session* session = find_session(frame.device_id);
-    if (session == nullptr || frame.trace.empty()) {
-      ++out.rejected_invalid;
-      continue;
-    }
-    const double expected = session->monitor.sample_rate();
-    if (std::abs(frame.sample_rate - expected) > 1e-6 * expected) {
-      ++out.rejected_invalid;
-      continue;
-    }
-    groups[session->shard].push_back(WorkItem{session, std::move(frame.trace)});
-  }
-  frames.clear();
-
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    std::vector<WorkItem>& items = groups[s];
-    if (items.empty()) continue;
-    const EnqueueOutcome enq = enqueue_work(*shards_[s], items.data(), items.size());
-    out.accepted += enq.accepted;
-    out.rejected_backpressure += items.size() - enq.accepted;
-  }
-  return out;
+  EMTS_REQUIRE(!frame.trace.empty(), "cannot submit an empty trace");
+  return enqueue_work(*shards_[session->shard], WorkItem{session, std::move(frame.trace)});
 }
 
 io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
@@ -393,7 +335,7 @@ void FleetMonitor::worker_loop(Shard& shard) {
       shard.busy = true;
     }
 
-    if (shard.queue.try_dequeue(&item, 1) == 0) {
+    if (!shard.queue.try_dequeue(item)) {
       std::unique_lock<std::mutex> lock(shard.mutex);
       shard.busy = false;
       shard.idle.notify_all();  // busy→false is what pause()/flush() wait on

@@ -12,13 +12,12 @@
 //   * Per-device ordering — a device maps to one shard (stable FNV-1a hash,
 //     device_hash() % shards), each shard runs one worker draining a FIFO
 //     ring, so one device's captures are scored in submission order while
-//     different devices run concurrently. Batched submission preserves this:
-//     a batch occupies one contiguous ring reservation.
+//     different devices run concurrently.
 //   * Bit-identical scoring — a session's monitor sees exactly the trace
 //     sequence submitted for its device, so per-device results (scores,
 //     states, stats, events) are bit-identical to running that device
-//     through its own standalone RuntimeMonitor — on the per-trace, batched,
-//     and wire-frame paths alike.
+//     through its own standalone RuntimeMonitor — on the per-trace and
+//     wire-frame paths alike.
 //   * Bounded ingest — every shard queue holds at most queue_capacity
 //     traces; the backpressure policy decides what a full queue does to a
 //     submitter (block, evict the oldest queued capture, or refuse), with
@@ -137,14 +136,6 @@ struct FleetEvent {
   core::MonitorEvent event;
 };
 
-/// Outcome of one submit_frames() batch.
-struct FrameBatchOutcome {
-  std::size_t accepted = 0;               // enqueued for scoring
-  std::size_t rejected_backpressure = 0;  // kReject refusals (queue full)
-  std::size_t rejected_invalid = 0;       // unknown device / rate mismatch /
-                                          // empty trace
-};
-
 /// Stable 64-bit FNV-1a hash of a device id — the shard router. Stable
 /// across platforms and runs (std::hash is not), so a fleet replay assigns
 /// the same devices to the same shards everywhere.
@@ -196,29 +187,12 @@ class FleetMonitor {
   /// structured event — see RuntimeMonitor::push.
   SubmitResult submit(const std::string& device_id, core::Trace trace);
 
-  /// Submits a whole batch for one device with a single ring reservation
-  /// per contiguous run — the amortized path: one CAS admits the run that
-  /// fits instead of one synchronization round per trace. Trace order is
-  /// preserved (a reservation is contiguous), so results are bit-identical
-  /// to per-trace submit(). Returns the number of traces accepted (kReject
-  /// refusals are counted out; with kBlock or kDropOldest this always
-  /// equals batch.size()). `blocked` counts wait episodes, not traces.
-  std::size_t submit_batch(const std::string& device_id, const core::TraceSet& batch);
-
   /// submit() for a decoded wire frame (io::wire::FrameDecoder output) — the
   /// ingest daemon's entry point. The frame's device must be registered and
   /// its sample rate must match the session's (within 1e-6 relative); either
-  /// mismatch throws precondition_error, so a daemon can refuse a frame
-  /// without perturbing any session state.
+  /// mismatch, like an empty trace, throws precondition_error, so a daemon
+  /// can refuse a frame without perturbing any session state.
   SubmitResult submit_frame(io::wire::TraceFrame&& frame);
-
-  /// Batched submit_frame for a drained decoder buffer: frames are vetted,
-  /// grouped by shard in arrival order, and bulk-enqueued (one reservation
-  /// per contiguous run). Invalid frames (unknown device, sample-rate
-  /// mismatch, empty trace) are counted instead of thrown, so one bad frame
-  /// never blocks the rest of a network read. Per-device ordering holds:
-  /// one device's frames stay in arrival order within its shard group.
-  FrameBatchOutcome submit_frames(std::vector<io::wire::TraceFrame>&& frames);
 
   /// Barrier: returns once every capture submitted before the call has been
   /// scored and all workers are idle. Concurrent submitters may of course
@@ -331,19 +305,13 @@ class FleetMonitor {
     std::thread worker;
   };
 
-  struct EnqueueOutcome {
-    std::size_t accepted = 0;
-    bool evicted = false;  // any kDropOldest eviction happened
-  };
-
   Session* find_session(const std::string& device_id) const;
   void worker_loop(Shard& shard);
 
-  /// Moves items[0..n) into the shard ring under the fleet's backpressure
-  /// policy. Bulk: each pass reserves the longest contiguous run that fits.
-  /// Accepts fewer than n only under kReject (queue full) or when shutdown
-  /// races a kBlock wait.
-  EnqueueOutcome enqueue_work(Shard& shard, WorkItem* items, std::size_t n);
+  /// Moves `item` into the shard ring under the fleet's backpressure policy.
+  /// Refuses it only under kReject (queue full) or when shutdown races a
+  /// kBlock wait.
+  SubmitResult enqueue_work(Shard& shard, WorkItem&& item);
 
   /// Wakes the shard worker if it is parked (enqueue fast path stays
   /// lock-free when the worker is running).

@@ -275,13 +275,7 @@ bool IngestServer::service_client(Client& client) {
     client.bytes_received += static_cast<std::uint64_t>(got);
     try {
       client.decoder.feed(buffer, static_cast<std::size_t>(got));
-      // Drain every frame this chunk completed, then hand the whole batch to
-      // the fleet in one call — one ring reservation per contiguous run per
-      // shard instead of one synchronization round per frame. Frames with
-      // unacceptable content (unknown device, sample-rate mismatch) are
-      // counted by the fleet instead of thrown — framing is intact, so the
-      // connection survives.
-      frame_batch_.clear();
+      // Route every frame this chunk completed as soon as it is decoded.
       io::wire::Frame frame;
       while (client.decoder.next(frame)) {
         if (frame.kind == io::wire::FrameKind::kHello) {
@@ -299,20 +293,24 @@ bool IngestServer::service_client(Client& client) {
           continue;
         }
         if (!client.authenticated) {
-          // Trace before a successful HELLO: close without ingesting — this
-          // frame, the batch it rode in with, everything.
+          // Trace before a successful HELLO: close without ingesting.
           ++counters_.auth_failures;
           ++counters_.connections_dropped;
           return false;
         }
         ++client.frames_decoded;
-        frame_batch_.push_back(std::move(frame.trace));
-      }
-      if (!frame_batch_.empty()) {
-        const FrameBatchOutcome outcome = fleet_.submit_frames(std::move(frame_batch_));
-        counters_.frames_accepted += outcome.accepted;
-        counters_.frames_rejected +=
-            outcome.rejected_backpressure + outcome.rejected_invalid;
+        // A frame with unacceptable content (unknown device, sample-rate
+        // mismatch, empty trace) or a kReject refusal is counted, not fatal:
+        // the framing is intact, so the connection survives.
+        try {
+          if (fleet_.submit_frame(std::move(frame.trace)) == SubmitResult::kRejected) {
+            ++counters_.frames_rejected;
+          } else {
+            ++counters_.frames_accepted;
+          }
+        } catch (const precondition_error&) {
+          ++counters_.frames_rejected;
+        }
       }
     } catch (const precondition_error&) {
       // Malformed stream: the framing is unrecoverable, drop the connection.

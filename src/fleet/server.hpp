@@ -1,11 +1,14 @@
 // Ingest daemon around a FleetMonitor: an accept loop over a unix-domain
 // socket and/or a TCP listener that decodes EMWF trace frames from any
 // number of client connections and routes them into the fleet's shard
-// queues (submit_frame). This is the service surface of the paper's
-// deployment story — sensors stream captures to a long-running trust
-// evaluator instead of batch replays — grown on top of the existing
-// bounded-ingest machinery: the shard queues, backpressure policies and
-// per-device ordering all apply unchanged to socket traffic.
+// queues. This is the service surface of the paper's deployment story —
+// sensors stream captures to a long-running trust evaluator instead of batch
+// replays — grown on top of the existing bounded-ingest machinery: the shard
+// queues, backpressure policies and per-device ordering all apply unchanged
+// to socket traffic. Each trace frame goes to FleetMonitor::submit_frame as
+// soon as it is decoded; a frame the fleet refuses (unknown device, wrong
+// sample rate, empty trace, kReject backpressure) counts in frames_rejected
+// and the connection survives.
 //
 // Transports. Unix-socket clients are trusted by filesystem permissions.
 // TCP clients (same EMWF framing, TCP_NODELAY) pass two gates: an IPv4
@@ -189,9 +192,6 @@ class IngestServer {
   int tcp_listen_fd_ = -1;  // TCP transport (-1 when disabled)
   std::vector<CidrRule> allow_rules_;
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Scratch for batch frame draining: filled per recv() chunk, handed to
-  /// FleetMonitor::submit_frames in one call, capacity reused across chunks.
-  std::vector<io::wire::TraceFrame> frame_batch_;
   /// Incremental-snapshot record cache + full-rewrite cadence state.
   io::FleetSnapshotRecordCache snapshot_cache_;
   bool snapshot_cache_primed_ = false;

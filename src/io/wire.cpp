@@ -145,6 +145,7 @@ bool FrameDecoder::next(Frame& out) {
   const std::uint8_t frame_type = read_scalar<std::uint8_t>(head + 5);
   EMTS_REQUIRE(frame_type == kFrameTrace || frame_type == kFrameHello,
                "wire: unknown frame type");
+  EMTS_REQUIRE(read_scalar<std::uint16_t>(head + 6) == 0, "wire: reserved header bytes set");
   const std::uint32_t payload_size = read_scalar<std::uint32_t>(head + 8);
   EMTS_REQUIRE(payload_size <= kMaxFramePayload, "wire: implausible frame payload size");
 

@@ -99,9 +99,9 @@ class FrameDecoder {
   /// Extracts the next complete frame of any kind into `out`. Returns false
   /// when the buffered bytes do not yet hold a full frame (feed more).
   /// Throws precondition_error on a malformed stream — bad magic,
-  /// unsupported version or frame type, absurd or inconsistent declared
-  /// lengths, or a checksum mismatch — after which the connection must be
-  /// dropped (the stream has no recoverable framing).
+  /// unsupported version or frame type, nonzero reserved bytes, absurd or
+  /// inconsistent declared lengths, or a checksum mismatch — after which the
+  /// connection must be dropped (the stream has no recoverable framing).
   bool next(Frame& out);
 
   /// Trace-only convenience for callers that do not speak auth (benches,

@@ -11,19 +11,18 @@
 namespace emts::util {
 
 // Bounded multi-producer / multi-consumer FIFO ring in the classic DPDK
-// style: producers CAS-reserve a contiguous index range on `prod_head_`,
-// move their payloads into the reserved slots, then publish by advancing
-// `prod_tail_` in reservation order. Consumers mirror the same protocol on
+// style: a producer CAS-reserves the next index on `prod_head_`, moves its
+// payload into the reserved slot, then publishes by advancing `prod_tail_`
+// in reservation order. Consumers mirror the same protocol on
 // `cons_head_` / `cons_tail_`. All storage is preallocated in the
 // constructor; enqueue/dequeue move elements and never allocate, which
 // preserves the fleet's zero-steady-state-allocation discipline.
 //
 // Ordering guarantees:
 //  - Global FIFO per ring: elements dequeue in publish order.
-//  - A single producer's enqueues (including one bulk enqueue) occupy
-//    consecutive slots, so its elements never reorder relative to each
-//    other. This is what keeps per-device trace ordering intact when the
-//    fleet batches submissions.
+//  - A single producer's successive enqueues take increasing reservations,
+//    so its elements never reorder relative to each other. This is what
+//    keeps per-device trace ordering intact through a fleet shard.
 //
 // Memory ordering: the publishing store on `prod_tail_` is a release, and
 // consumers read it with acquire before touching slots, so payload writes
@@ -60,65 +59,49 @@ class BoundedMpmcRing {
 
   bool empty() const { return size() == 0; }
 
-  // Moves up to `n` elements from `items` into the ring. Returns how many
-  // were accepted (0 when full); accepts a partial prefix when fewer than
-  // `n` slots are free. Never blocks, never allocates.
-  std::size_t try_enqueue(T* items, std::size_t n) {
+  // Moves `item` into the ring. Returns false (leaving `item` untouched)
+  // when the ring is full. Never blocks, never allocates.
+  bool try_enqueue(T&& item) {
     std::uint64_t head;
-    std::size_t take;
     for (;;) {
       head = prod_head_.load(std::memory_order_relaxed);
       const std::uint64_t consumed = cons_tail_.load(std::memory_order_acquire);
-      const std::size_t free_slots =
-          capacity_ - static_cast<std::size_t>(head - consumed);
-      take = n < free_slots ? n : free_slots;
-      if (take == 0) return 0;
-      if (prod_head_.compare_exchange_weak(head, head + take,
+      if (static_cast<std::size_t>(head - consumed) >= capacity_) return false;
+      if (prod_head_.compare_exchange_weak(head, head + 1,
                                            std::memory_order_relaxed,
                                            std::memory_order_relaxed)) {
         break;
       }
     }
-    for (std::size_t i = 0; i < take; ++i) {
-      slots_[static_cast<std::size_t>((head + i) & mask_)] =
-          std::move(items[i]);
-    }
+    slots_[static_cast<std::size_t>(head & mask_)] = std::move(item);
     // Publish in reservation order: wait for earlier producers to land.
     while (prod_tail_.load(std::memory_order_acquire) != head) {
       cpu_relax();
     }
-    prod_tail_.store(head + take, std::memory_order_release);
-    return take;
+    prod_tail_.store(head + 1, std::memory_order_release);
+    return true;
   }
 
-  std::size_t try_enqueue(T&& item) { return try_enqueue(&item, 1); }
-
-  // Moves up to `n` elements from the ring into `out`. Returns how many
-  // were taken (0 when empty). Never blocks, never allocates.
-  std::size_t try_dequeue(T* out, std::size_t n) {
+  // Moves the oldest element into `out`. Returns false when the ring is
+  // empty. Never blocks, never allocates.
+  bool try_dequeue(T& out) {
     std::uint64_t head;
-    std::size_t take;
     for (;;) {
       head = cons_head_.load(std::memory_order_relaxed);
       const std::uint64_t produced = prod_tail_.load(std::memory_order_acquire);
-      const std::size_t available =
-          static_cast<std::size_t>(produced - head);
-      take = n < available ? n : available;
-      if (take == 0) return 0;
-      if (cons_head_.compare_exchange_weak(head, head + take,
+      if (produced == head) return false;
+      if (cons_head_.compare_exchange_weak(head, head + 1,
                                            std::memory_order_relaxed,
                                            std::memory_order_relaxed)) {
         break;
       }
     }
-    for (std::size_t i = 0; i < take; ++i) {
-      out[i] = std::move(slots_[static_cast<std::size_t>((head + i) & mask_)]);
-    }
+    out = std::move(slots_[static_cast<std::size_t>(head & mask_)]);
     while (cons_tail_.load(std::memory_order_acquire) != head) {
       cpu_relax();
     }
-    cons_tail_.store(head + take, std::memory_order_release);
-    return take;
+    cons_tail_.store(head + 1, std::memory_order_release);
+    return true;
   }
 
  private:

@@ -107,11 +107,14 @@ TEST(BackpressureLabels, AreDistinct) {
 
 // ---------- the acceptance criterion: fleet == standalone, bit for bit ----
 
-TEST(FleetMonitor, PerDeviceResultsMatchStandaloneBitIdentically) {
+void expect_per_device_results_match_standalone(BackpressurePolicy policy,
+                                                std::size_t queue_capacity) {
+  SCOPED_TRACE(backpressure_label(policy));
   const core::RuntimeMonitor::Options mon = small_options();
   FleetOptions opt;
   opt.shards = 4;
-  opt.queue_capacity = 8;
+  opt.queue_capacity = queue_capacity;
+  opt.backpressure = policy;
   opt.monitor = mon;
   FleetMonitor fleet{opt};
 
@@ -197,6 +200,15 @@ TEST(FleetMonitor, PerDeviceResultsMatchStandaloneBitIdentically) {
   }
 }
 
+TEST(FleetMonitor, PerDeviceResultsMatchStandaloneBitIdentically) {
+  // kBlock applies flow control through queues smaller than the traffic.
+  // The lossy policies get queues that hold all 120 traces, so neither
+  // sheds one; all three must then match standalone monitors bit for bit.
+  expect_per_device_results_match_standalone(BackpressurePolicy::kBlock, 8);
+  expect_per_device_results_match_standalone(BackpressurePolicy::kDropOldest, 128);
+  expect_per_device_results_match_standalone(BackpressurePolicy::kReject, 128);
+}
+
 // ---------- backpressure (deterministic via pause()) ----------
 
 TEST(FleetMonitor, RejectPolicyRefusesWhenSaturated) {
@@ -244,13 +256,14 @@ TEST(FleetMonitor, DropOldestPolicyEvictsButStaysBounded) {
   FleetMonitor fleet{opt};
   fleet.add_device("dev", core::TrustEvaluator{fitted()});
 
-  emts::Rng rng{8};
+  const core::TraceSet traces = make_set(7, false, 8);
   fleet.pause();
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fleet.submit("dev", golden_trace(rng)), SubmitResult::kAccepted);
+    EXPECT_EQ(fleet.submit("dev", core::Trace{traces.traces[i]}), SubmitResult::kAccepted);
   }
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fleet.submit("dev", golden_trace(rng)), SubmitResult::kReplacedOldest);
+  for (std::size_t i = 4; i < 7; ++i) {
+    EXPECT_EQ(fleet.submit("dev", core::Trace{traces.traces[i]}),
+              SubmitResult::kReplacedOldest);
   }
 
   const FleetStats saturated = fleet.stats();
@@ -264,6 +277,14 @@ TEST(FleetMonitor, DropOldestPolicyEvictsButStaysBounded) {
   const FleetStats drained = fleet.stats();
   EXPECT_EQ(drained.traces_processed, 4u);  // only the survivors were scored
   EXPECT_EQ(drained.sessions[0].monitor.traces_ingested, 4u);
+
+  // The survivors are the four newest traces, still in order: a standalone
+  // monitor fed only those must agree bit for bit.
+  core::RuntimeMonitor standalone{kFs, core::TrustEvaluator{fitted()}, small_options()};
+  for (std::size_t i = 3; i < 7; ++i) standalone.push(traces.traces[i]);
+  EXPECT_EQ(drained.sessions[0].monitor.scored_captures, 4u);
+  ASSERT_TRUE(drained.sessions[0].last_score.has_value());
+  EXPECT_EQ(*drained.sessions[0].last_score, *standalone.last_score());
 }
 
 TEST(FleetMonitor, BlockPolicyAppliesFlowControl) {
@@ -300,22 +321,6 @@ TEST(FleetMonitor, BlockPolicyAppliesFlowControl) {
   EXPECT_EQ(stats.shards[0].blocked, 1u);
   EXPECT_EQ(stats.backpressure_dropped, 0u);
   EXPECT_EQ(stats.backpressure_rejected, 0u);
-}
-
-TEST(FleetMonitor, SubmitBatchCountsRejections) {
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.queue_capacity = 2;
-  opt.backpressure = BackpressurePolicy::kReject;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("dev", core::TrustEvaluator{fitted()});
-
-  fleet.pause();
-  EXPECT_EQ(fleet.submit_batch("dev", make_set(5, false, 10)), 2u);
-  fleet.resume();
-  fleet.flush();
-  EXPECT_EQ(fleet.stats().sessions[0].monitor.traces_ingested, 2u);
 }
 
 // ---------- fault injection ----------
@@ -414,7 +419,6 @@ TEST(FleetMonitor, PreconditionsThrow) {
   emts::Rng rng{13};
   EXPECT_THROW(fleet.submit("ghost", golden_trace(rng)), emts::precondition_error);
   EXPECT_THROW(fleet.submit("dev", core::Trace{}), emts::precondition_error);
-  EXPECT_THROW(fleet.submit_batch("dev", core::TraceSet{}), emts::precondition_error);
   EXPECT_THROW(fleet.device_state("ghost"), emts::precondition_error);
   EXPECT_THROW(fleet.acknowledge_alarm("ghost"), emts::precondition_error);
 }
@@ -524,6 +528,11 @@ TEST(FleetMonitor, SubmitFrameRefusesUnknownDeviceAndRateMismatch) {
   wrong_rate.sample_rate = kFs * 2;
   wrong_rate.trace = golden_trace(rng);
   EXPECT_THROW(fleet.submit_frame(std::move(wrong_rate)), emts::precondition_error);
+
+  io::wire::TraceFrame empty;
+  empty.device_id = "chip-00";
+  empty.sample_rate = kFs;
+  EXPECT_THROW(fleet.submit_frame(std::move(empty)), emts::precondition_error);
 
   // A refused frame must not have perturbed the session.
   fleet.flush();
@@ -639,222 +648,9 @@ TEST(FleetMonitor, FlushOnIdleFleetReturnsImmediately) {
   EXPECT_EQ(fleet.stats().traces_submitted, 0u);
 }
 
-// ---------- batched submission: bit-identical to per-trace ----------
-
-// The exact-EQ guarantee extends to submit_batch under every backpressure
-// policy: with capacity >= traffic no policy loses traces, and a batch's
-// single contiguous ring reservation preserves order, so the batched fleet,
-// the per-trace fleet, and a standalone monitor must all agree bit for bit.
-TEST(FleetMonitor, SubmitBatchMatchesPerTraceSubmitExactly) {
-  const core::RuntimeMonitor::Options mon = small_options();
-  for (const BackpressurePolicy policy :
-       {BackpressurePolicy::kBlock, BackpressurePolicy::kDropOldest,
-        BackpressurePolicy::kReject}) {
-    SCOPED_TRACE(backpressure_label(policy));
-    FleetOptions opt;
-    opt.shards = 2;
-    opt.queue_capacity = 64;  // >= total traffic: every policy is lossless
-    opt.backpressure = policy;
-    opt.monitor = mon;
-    FleetMonitor batched{opt};
-    FleetMonitor per_trace{opt};
-
-    const std::vector<std::string> ids = {"chip-00", "chip-01", "chip-02"};
-    std::vector<core::RuntimeMonitor> standalone;
-    standalone.reserve(ids.size());
-    std::vector<core::TraceSet> streams;
-    for (std::size_t d = 0; d < ids.size(); ++d) {
-      batched.add_device(ids[d], core::TrustEvaluator{fitted()});
-      per_trace.add_device(ids[d], core::TrustEvaluator{fitted()});
-      standalone.emplace_back(kFs, core::TrustEvaluator{fitted()}, mon);
-      // The last device turns infected so states/alarms diverge per device.
-      streams.push_back(make_set(18, d == ids.size() - 1, 300 + d));
-    }
-
-    for (std::size_t d = 0; d < ids.size(); ++d) {
-      EXPECT_EQ(batched.submit_batch(ids[d], streams[d]), streams[d].size());
-      for (const core::Trace& trace : streams[d].traces) {
-        EXPECT_NE(per_trace.submit(ids[d], core::Trace{trace}),
-                  SubmitResult::kRejected);
-        standalone[d].push(trace);
-      }
-    }
-    batched.flush();
-    per_trace.flush();
-
-    const FleetStats batched_stats = batched.stats();
-    const FleetStats per_trace_stats = per_trace.stats();
-    ASSERT_EQ(batched_stats.sessions.size(), ids.size());
-    EXPECT_EQ(batched_stats.traces_submitted, per_trace_stats.traces_submitted);
-    EXPECT_EQ(batched_stats.traces_processed, per_trace_stats.traces_processed);
-    EXPECT_EQ(batched_stats.devices_alarm, per_trace_stats.devices_alarm);
-
-    for (std::size_t d = 0; d < ids.size(); ++d) {
-      const SessionStats& a = batched_stats.sessions[d];
-      const SessionStats& b = per_trace_stats.sessions[d];
-      ASSERT_EQ(a.device_id, ids[d]);
-      EXPECT_EQ(a.state, b.state);
-      EXPECT_EQ(a.state, standalone[d].state());
-      ASSERT_EQ(a.last_score.has_value(), standalone[d].last_score().has_value());
-      if (a.last_score.has_value()) {
-        // Exact EQ on purpose — same doubles, same code, same order.
-        EXPECT_EQ(*a.last_score, *b.last_score);
-        EXPECT_EQ(*a.last_score, *standalone[d].last_score());
-      }
-      EXPECT_EQ(a.monitor.traces_ingested, standalone[d].stats().traces_ingested);
-      EXPECT_EQ(a.monitor.scored_captures, standalone[d].stats().scored_captures);
-      EXPECT_EQ(a.monitor.per_trace_anomalies,
-                standalone[d].stats().per_trace_anomalies);
-      EXPECT_EQ(a.monitor.windowed_anomalies,
-                standalone[d].stats().windowed_anomalies);
-      EXPECT_EQ(a.monitor.alarms_latched, standalone[d].stats().alarms_latched);
-    }
-
-    // Event streams agree (kinds, indices, payloads) across all three paths.
-    std::vector<FleetEvent> batched_events = batched.drain_events();
-    std::vector<FleetEvent> per_trace_events = per_trace.drain_events();
-    ASSERT_EQ(batched_events.size(), per_trace_events.size());
-    for (std::size_t i = 0; i < batched_events.size(); ++i) {
-      EXPECT_EQ(batched_events[i].device_id, per_trace_events[i].device_id);
-      EXPECT_EQ(batched_events[i].event.kind, per_trace_events[i].event.kind);
-      EXPECT_EQ(batched_events[i].event.trace_index,
-                per_trace_events[i].event.trace_index);
-      EXPECT_EQ(batched_events[i].event.value, per_trace_events[i].event.value);
-    }
-  }
-}
-
-TEST(FleetMonitor, SubmitBatchDropOldestEvictsExactlyLikePerTrace) {
-  const core::RuntimeMonitor::Options mon = small_options();
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.queue_capacity = 2;
-  opt.backpressure = BackpressurePolicy::kDropOldest;
-  opt.monitor = mon;
-  FleetMonitor fleet{opt};
-  fleet.add_device("dev", core::TrustEvaluator{fitted()});
-
-  const core::TraceSet batch = make_set(5, false, 51);
-  fleet.pause();
-  // Bulk admission into a saturating queue: 2 fit, then each further trace
-  // evicts the oldest — every trace is "accepted", three are evicted.
-  EXPECT_EQ(fleet.submit_batch("dev", batch), 5u);
-  const FleetStats saturated = fleet.stats();
-  EXPECT_EQ(saturated.shards[0].submitted, 5u);
-  EXPECT_EQ(saturated.shards[0].dropped_oldest, 3u);
-  EXPECT_EQ(saturated.shards[0].queue_depth, 2u);
-  fleet.resume();
-  fleet.flush();
-
-  // The survivors are the two newest traces, still in order — the same two
-  // a per-trace submit loop would have kept. Standalone monitor fed only
-  // those two must agree bit for bit.
-  core::RuntimeMonitor standalone{kFs, core::TrustEvaluator{fitted()}, mon};
-  standalone.push(batch.traces[3]);
-  standalone.push(batch.traces[4]);
-
-  const FleetStats drained = fleet.stats();
-  EXPECT_EQ(drained.traces_processed, 2u);
-  ASSERT_EQ(drained.sessions.size(), 1u);
-  EXPECT_EQ(drained.sessions[0].monitor.scored_captures, 2u);
-  ASSERT_TRUE(drained.sessions[0].last_score.has_value());
-  EXPECT_EQ(*drained.sessions[0].last_score, *standalone.last_score());
-}
-
-// ---------- batched wire-frame draining (the daemon's read path) ----------
-
-TEST(FleetMonitor, SubmitFramesVetsGroupsAndPreservesPerDeviceOrder) {
-  const core::RuntimeMonitor::Options mon = small_options();
-  FleetOptions opt;
-  opt.shards = 2;
-  opt.queue_capacity = 64;
-  opt.monitor = mon;
-  FleetMonitor fleet{opt};
-  fleet.add_device("chip-00", core::TrustEvaluator{fitted()});
-  fleet.add_device("chip-01", core::TrustEvaluator{fitted()});
-
-  std::vector<core::RuntimeMonitor> standalone;
-  standalone.emplace_back(kFs, core::TrustEvaluator{fitted()}, mon);
-  standalone.emplace_back(kFs, core::TrustEvaluator{fitted()}, mon);
-
-  // Interleave two devices' streams in one batch, with two bad frames mixed
-  // in: an unknown device and a sample-rate mismatch. The bad ones must be
-  // counted out without disturbing the good ones' ordering.
-  std::vector<io::wire::TraceFrame> frames;
-  emts::Rng rng{60};
-  for (std::size_t i = 0; i < 10; ++i) {
-    const std::size_t d = i % 2;
-    io::wire::TraceFrame frame;
-    frame.device_id = "chip-0" + std::to_string(d);
-    frame.sample_rate = kFs;
-    frame.trace = golden_trace(rng);
-    standalone[d].push(frame.trace);
-    frames.push_back(std::move(frame));
-    if (i == 4) {
-      io::wire::TraceFrame ghost;
-      ghost.device_id = "ghost";
-      ghost.sample_rate = kFs;
-      ghost.trace = golden_trace(rng);
-      frames.push_back(std::move(ghost));
-    }
-    if (i == 7) {
-      io::wire::TraceFrame wrong_rate;
-      wrong_rate.device_id = "chip-00";
-      wrong_rate.sample_rate = kFs * 2;
-      wrong_rate.trace = golden_trace(rng);
-      frames.push_back(std::move(wrong_rate));
-    }
-  }
-
-  const FrameBatchOutcome outcome = fleet.submit_frames(std::move(frames));
-  EXPECT_EQ(outcome.accepted, 10u);
-  EXPECT_EQ(outcome.rejected_invalid, 2u);
-  EXPECT_EQ(outcome.rejected_backpressure, 0u);
-  fleet.flush();
-
-  const FleetStats stats = fleet.stats();
-  EXPECT_EQ(stats.traces_processed, 10u);
-  ASSERT_EQ(stats.sessions.size(), 2u);
-  for (std::size_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(stats.sessions[d].monitor.scored_captures, 5u);
-    ASSERT_TRUE(stats.sessions[d].last_score.has_value());
-    // Exact EQ: per-device arrival order survived the per-shard grouping.
-    EXPECT_EQ(*stats.sessions[d].last_score, *standalone[d].last_score());
-  }
-}
-
-TEST(FleetMonitor, SubmitFramesCountsRejectBackpressure) {
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.queue_capacity = 2;
-  opt.backpressure = BackpressurePolicy::kReject;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("dev", core::TrustEvaluator{fitted()});
-
-  std::vector<io::wire::TraceFrame> frames;
-  emts::Rng rng{61};
-  for (std::size_t i = 0; i < 5; ++i) {
-    io::wire::TraceFrame frame;
-    frame.device_id = "dev";
-    frame.sample_rate = kFs;
-    frame.trace = golden_trace(rng);
-    frames.push_back(std::move(frame));
-  }
-
-  fleet.pause();
-  const FrameBatchOutcome outcome = fleet.submit_frames(std::move(frames));
-  EXPECT_EQ(outcome.accepted, 2u);
-  EXPECT_EQ(outcome.rejected_backpressure, 3u);
-  EXPECT_EQ(outcome.rejected_invalid, 0u);
-  fleet.resume();
-  fleet.flush();
-  EXPECT_EQ(fleet.stats().traces_processed, 2u);
-}
-
 // ---------- producers vs flush on the lock-free queue (tsan target) ----------
 
-// Hammers the lock-free ring from four batch producers while the main thread
+// Hammers the lock-free ring from four producers while the main thread
 // runs the whole control plane (flush/pause/resume/stats/drain) against it.
 // Under TSan this exercises the ring's acquire/release publication chain and
 // the park/wake fences; the exact totals prove nothing was lost, duplicated,
@@ -881,7 +677,9 @@ TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
       const std::string id = "chip-" + std::to_string(p);
       for (std::size_t c = 0; c < kChunks; ++c) {
         const core::TraceSet chunk = make_set(kChunk, false, 700 + p * 100 + c);
-        EXPECT_EQ(fleet.submit_batch(id, chunk), kChunk);
+        for (const core::Trace& trace : chunk.traces) {
+          EXPECT_EQ(fleet.submit(id, core::Trace{trace}), SubmitResult::kAccepted);
+        }
       }
     });
   }
@@ -922,7 +720,9 @@ TEST(FleetMonitor, PinnedWorkersProcessNormally) {
   fleet.add_device("chip-00", core::TrustEvaluator{fitted()});
 
   const core::TraceSet batch = make_set(6, false, 80);
-  EXPECT_EQ(fleet.submit_batch("chip-00", batch), 6u);
+  for (const core::Trace& trace : batch.traces) {
+    EXPECT_EQ(fleet.submit("chip-00", core::Trace{trace}), SubmitResult::kAccepted);
+  }
   fleet.flush();
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.traces_processed, 6u);

@@ -1,6 +1,6 @@
 // BoundedMpmcRing: the lock-free bounded FIFO under the fleet's shard
 // queues. These suites pin the properties the fleet relies on — FIFO order,
-// bulk partial accept/return, arbitrary (non-power-of-two) logical capacity,
+// full/empty refusal, arbitrary (non-power-of-two) logical capacity,
 // wraparound reuse, and multi-producer/multi-consumer safety with
 // per-producer order preserved (the per-device ordering guarantee).
 #include "util/mpmc_ring.hpp"
@@ -30,55 +30,53 @@ TEST(BoundedMpmcRing, SingleThreadedFifoAndOccupancy) {
   EXPECT_TRUE(ring.empty());
 
   for (int v = 0; v < 4; ++v) {
-    EXPECT_EQ(ring.try_enqueue(int{v}), 1u);
+    EXPECT_TRUE(ring.try_enqueue(int{v}));
   }
   EXPECT_EQ(ring.size(), 4u);
 
-  int overflow = 99;
-  EXPECT_EQ(ring.try_enqueue(&overflow, 1), 0u);  // full
+  EXPECT_FALSE(ring.try_enqueue(99));  // full
 
   int out = -1;
   for (int v = 0; v < 4; ++v) {
-    EXPECT_EQ(ring.try_dequeue(&out, 1), 1u);
+    EXPECT_TRUE(ring.try_dequeue(out));
     EXPECT_EQ(out, v);
   }
   EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.try_dequeue(&out, 1), 0u);  // empty
+  EXPECT_FALSE(ring.try_dequeue(out));  // empty
 }
 
 TEST(BoundedMpmcRing, NonPowerOfTwoCapacityIsHonoredExactly) {
   // Physical storage rounds up to a power of two; the logical capacity must
   // still cap occupancy at exactly the requested value.
   BoundedMpmcRing<int> ring{3};
-  int items[5] = {1, 2, 3, 4, 5};
-  EXPECT_EQ(ring.try_enqueue(items, 5), 3u);  // partial accept: 3 fit
+  for (int v = 1; v <= 3; ++v) EXPECT_TRUE(ring.try_enqueue(int{v}));
+  EXPECT_FALSE(ring.try_enqueue(4));  // the 4th would fit the physical 4 slots
   EXPECT_EQ(ring.size(), 3u);
 
-  int out[5] = {};
-  EXPECT_EQ(ring.try_dequeue(out, 5), 3u);  // partial drain: only 3 present
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 2);
-  EXPECT_EQ(out[2], 3);
+  int out = 0;
+  for (int v = 1; v <= 3; ++v) {
+    EXPECT_TRUE(ring.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_FALSE(ring.try_dequeue(out));
 }
 
-TEST(BoundedMpmcRing, BulkRoundTripPreservesOrderAcrossWraparound) {
+TEST(BoundedMpmcRing, RoundTripPreservesOrderAcrossWraparound) {
   BoundedMpmcRing<std::uint64_t> ring{8};
   std::uint64_t next = 0;
   std::uint64_t expect = 0;
-  std::uint64_t scratch[5];
-  // Staggered bulk enqueues/dequeues force the indices to wrap the physical
+  std::uint64_t out = 0;
+  // Staggered enqueue/dequeue runs force the indices to wrap the physical
   // array many times; FIFO order must hold throughout.
   for (int round = 0; round < 1000; ++round) {
-    std::uint64_t in[3];
-    for (auto& v : in) v = next++;
-    ASSERT_EQ(ring.try_enqueue(in, 3), 3u);
-    const std::size_t got = ring.try_dequeue(scratch, (round % 2) ? 3 : 2);
-    for (std::size_t i = 0; i < got; ++i) {
-      ASSERT_EQ(scratch[i], expect++);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_enqueue(std::uint64_t{next++}));
+    for (int i = 0; i < ((round % 2) ? 3 : 2); ++i) {
+      ASSERT_TRUE(ring.try_dequeue(out));
+      ASSERT_EQ(out, expect++);
     }
     while (ring.size() > 5) {
-      ASSERT_EQ(ring.try_dequeue(scratch, 1), 1u);
-      ASSERT_EQ(scratch[0], expect++);
+      ASSERT_TRUE(ring.try_dequeue(out));
+      ASSERT_EQ(out, expect++);
     }
   }
 }
@@ -86,9 +84,9 @@ TEST(BoundedMpmcRing, BulkRoundTripPreservesOrderAcrossWraparound) {
 TEST(BoundedMpmcRing, MoveOnlyPayloadsMoveThrough) {
   BoundedMpmcRing<std::unique_ptr<int>> ring{2};
   auto p = std::make_unique<int>(42);
-  EXPECT_EQ(ring.try_enqueue(std::move(p)), 1u);
+  EXPECT_TRUE(ring.try_enqueue(std::move(p)));
   std::unique_ptr<int> out;
-  EXPECT_EQ(ring.try_dequeue(&out, 1), 1u);
+  EXPECT_TRUE(ring.try_dequeue(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
 }
@@ -103,23 +101,11 @@ TEST(BoundedMpmcRing, PerProducerOrderSurvivesContention) {
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&ring, p] {
-      std::uint64_t batch[8];
-      std::uint64_t sent = 0;
-      while (sent < kPerProducer) {
-        std::size_t n = 0;
-        while (n < 8 && sent + n < kPerProducer) {
-          // Tag each value with its producer: high bits = producer id.
-          batch[n] = (static_cast<std::uint64_t>(p) << 32) | (sent + n);
-          ++n;
-        }
-        std::size_t placed = 0;
-        while (placed < n) {
-          const std::size_t took = ring.try_enqueue(batch + placed, n - placed);
-          placed += took;
-          // Full ring: let the consumer run (essential on few-core hosts).
-          if (took == 0) std::this_thread::yield();
-        }
-        sent += n;
+      for (std::uint64_t sent = 0; sent < kPerProducer; ++sent) {
+        // Tag each value with its producer: high bits = producer id.
+        const std::uint64_t v = (static_cast<std::uint64_t>(p) << 32) | sent;
+        // Full ring: let the consumer run (essential on few-core hosts).
+        while (!ring.try_enqueue(std::uint64_t{v})) std::this_thread::yield();
       }
     });
   }
@@ -127,21 +113,21 @@ TEST(BoundedMpmcRing, PerProducerOrderSurvivesContention) {
   std::vector<std::uint64_t> last_seen(kProducers, 0);
   std::vector<std::uint64_t> count(kProducers, 0);
   std::uint64_t total = 0;
-  std::uint64_t out[8];
+  std::uint64_t out = 0;
   while (total < kProducers * kPerProducer) {
-    const std::size_t got = ring.try_dequeue(out, 8);
-    if (got == 0) std::this_thread::yield();
-    for (std::size_t i = 0; i < got; ++i) {
-      const std::size_t p = static_cast<std::size_t>(out[i] >> 32);
-      const std::uint64_t seq = out[i] & 0xffffffffu;
-      ASSERT_LT(p, kProducers);
-      if (count[p] > 0) {
-        ASSERT_GT(seq, last_seen[p]) << "producer " << p << " reordered";
-      }
-      last_seen[p] = seq;
-      ++count[p];
+    if (!ring.try_dequeue(out)) {
+      std::this_thread::yield();
+      continue;
     }
-    total += got;
+    const std::size_t p = static_cast<std::size_t>(out >> 32);
+    const std::uint64_t seq = out & 0xffffffffu;
+    ASSERT_LT(p, kProducers);
+    if (count[p] > 0) {
+      ASSERT_GT(seq, last_seen[p]) << "producer " << p << " reordered";
+    }
+    last_seen[p] = seq;
+    ++count[p];
+    ++total;
   }
   for (auto& t : producers) t.join();
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -170,8 +156,8 @@ TEST(BoundedMpmcRing, MpmcLosesAndDuplicatesNothing) {
     }
     threads.emplace_back([&ring, p] {
       for (std::uint64_t s = 0; s < kPerProducer; ++s) {
-        std::uint64_t v = (static_cast<std::uint64_t>(p) << 32) | s;
-        while (ring.try_enqueue(&v, 1) == 0) {
+        const std::uint64_t v = (static_cast<std::uint64_t>(p) << 32) | s;
+        while (!ring.try_enqueue(std::uint64_t{v})) {
           std::this_thread::yield();
         }
       }
@@ -179,18 +165,15 @@ TEST(BoundedMpmcRing, MpmcLosesAndDuplicatesNothing) {
   }
   for (std::size_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
-      std::uint64_t out[4];
+      std::uint64_t out = 0;
       while (consumed.load(std::memory_order_relaxed) <
              kProducers * kPerProducer) {
-        const std::size_t got = ring.try_dequeue(out, 4);
-        if (got == 0) {
+        if (!ring.try_dequeue(out)) {
           std::this_thread::yield();
           continue;
         }
-        std::uint64_t local = 0;
-        for (std::size_t i = 0; i < got; ++i) local += out[i];
-        checksum.fetch_add(local, std::memory_order_relaxed);
-        consumed.fetch_add(got, std::memory_order_relaxed);
+        checksum.fetch_add(out, std::memory_order_relaxed);
+        consumed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }

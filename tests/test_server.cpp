@@ -27,6 +27,7 @@
 #include "io/wire.hpp"
 #include "scratch_dir.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -117,6 +118,33 @@ std::string encode_frames(const std::string& device_id, const core::TraceSet& ba
   return bytes;
 }
 
+/// A trace frame declaring zero samples, correctly checksummed. The encoder
+/// refuses to build one, so the bytes are laid out by hand (docs/FORMATS.md).
+std::string empty_trace_frame(const std::string& device_id) {
+  std::string payload;
+  const auto append = [&payload](const void* data, std::size_t size) {
+    payload.append(static_cast<const char*>(data), size);
+  };
+  const std::uint32_t id_bytes = static_cast<std::uint32_t>(device_id.size());
+  const std::uint32_t samples = 0;
+  append(&id_bytes, sizeof id_bytes);
+  append(device_id.data(), device_id.size());
+  append(&kFs, sizeof kFs);
+  append(&samples, sizeof samples);
+
+  std::string frame;
+  const std::uint32_t magic = io::wire::kMagic;
+  const std::uint8_t header[4] = {io::wire::kVersion, io::wire::kFrameTrace, 0, 0};
+  const std::uint32_t payload_size = static_cast<std::uint32_t>(payload.size());
+  const std::uint64_t checksum = util::fnv1a64(payload.data(), payload.size());
+  frame.append(reinterpret_cast<const char*>(&magic), sizeof magic);
+  frame.append(reinterpret_cast<const char*>(header), sizeof header);
+  frame.append(reinterpret_cast<const char*>(&payload_size), sizeof payload_size);
+  frame += payload;
+  frame.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  return frame;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(socket_path_); }
@@ -175,12 +203,12 @@ TEST_F(ServerTest, StreamsFramesIntoTheFleet) {
 
 TEST_F(ServerTest, ScoresMatchDirectSubmission) {
   // The socket hop must not perturb anything: a device streamed through the
-  // daemon scores bit-identically to one fed through submit_batch directly.
+  // daemon scores bit-identically to one fed through submit directly.
   const core::TraceSet batch = make_set(9, 4);
 
   FleetMonitor direct{fleet_options()};
   direct.add_device("chip-00", fitted());
-  direct.submit_batch("chip-00", batch);
+  for (const core::Trace& trace : batch.traces) direct.submit("chip-00", core::Trace{trace});
   direct.flush();
 
   FleetMonitor fleet{fleet_options()};
@@ -224,11 +252,17 @@ TEST_F(ServerTest, UnknownDeviceFramesAreRejectedNotFatal) {
 
   const core::TraceSet known = make_set(3, 5);
   const core::TraceSet unknown = make_set(2, 6);
+  core::TraceSet wrong_rate = make_set(1, 9);
+  wrong_rate.sample_rate = 2 * kFs;
   const int fd = connect_to(socket_path_);
-  // Interleave: rejected frames must not derail the frames around them.
+  // Interleave: rejected frames must not derail the frames around them, and
+  // the connection must survive them. The empty-trace frame comes last: the
+  // decoder refuses it as malformed framing, which drops the connection, but
+  // only after every frame ahead of it was routed.
   const std::string bytes = encode_frames("chip-00", known) +
                             encode_frames("ghost", unknown) +
-                            encode_frames("chip-00", known);
+                            encode_frames("chip-00", wrong_rate) +
+                            encode_frames("chip-00", known) + empty_trace_frame("chip-00");
   send_all(fd, bytes.data(), bytes.size());
   ::close(fd);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -240,8 +274,57 @@ TEST_F(ServerTest, UnknownDeviceFramesAreRejectedNotFatal) {
   serve.join();
 
   EXPECT_EQ(server.counters().frames_accepted, 6u);
-  EXPECT_EQ(server.counters().frames_rejected, 2u);
-  EXPECT_EQ(fleet.stats().traces_processed, 6u);
+  EXPECT_EQ(server.counters().frames_rejected, 3u);
+  EXPECT_EQ(server.counters().connections_dropped, 1u);
+  EXPECT_EQ(server.counters().connections_closed, 0u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.traces_processed, 6u);
+
+  // The six valid frames were scored in arrival order around the rejects.
+  core::RuntimeMonitor standalone{kFs, core::TrustEvaluator{fitted()}, small_options()};
+  standalone.push_batch(known);
+  standalone.push_batch(known);
+  ASSERT_EQ(stats.sessions.size(), 1u);
+  EXPECT_EQ(stats.sessions[0].monitor.scored_captures, 6u);
+  EXPECT_EQ(stats.sessions[0].last_score, standalone.last_score());
+}
+
+TEST_F(ServerTest, RejectBackpressureCountsFramesRejected) {
+  FleetOptions fleet_opts = fleet_options();
+  fleet_opts.queue_capacity = 2;
+  fleet_opts.backpressure = BackpressurePolicy::kReject;
+  FleetMonitor fleet{fleet_opts};
+  fleet.add_device("chip-00", fitted());
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  IngestServer server{fleet, options};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> snapshot_request{false};
+  // A paused fleet scores nothing, so its 2-slot queue refuses the last 3 of
+  // 5 frames deterministically.
+  fleet.pause();
+  std::thread serve{[&] { server.run(stop, snapshot_request); }};
+
+  const core::TraceSet batch = make_set(5, 10);
+  const int fd = connect_to(socket_path_);
+  const std::string bytes = encode_frames("chip-00", batch);
+  send_all(fd, bytes.data(), bytes.size());
+  ::close(fd);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    const FleetStats stats = fleet.stats();
+    if (stats.traces_submitted + stats.backpressure_rejected == batch.size()) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "ingest timed out";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  fleet.resume();
+  stop = true;
+  serve.join();
+
+  EXPECT_EQ(server.counters().frames_accepted, 2u);
+  EXPECT_EQ(server.counters().frames_rejected, 3u);
+  EXPECT_EQ(server.counters().connections_dropped, 0u);
+  EXPECT_EQ(fleet.stats().traces_processed, 2u);
 }
 
 TEST_F(ServerTest, GarbageBytesDropTheConnectionOnly) {

@@ -293,7 +293,9 @@ Outcome load_restore_and_push(const std::string& path, const core::TraceSet& mor
   stage = "push";
   for (core::RuntimeMonitor& monitor : calibrating) monitor.push_batch(more);
   for (const FleetSnapshot::Device& device : monitoring.devices) {
-    fleet.submit_batch(device.device_id, more);
+    for (const core::Trace& trace : more.traces) {
+      fleet.submit(device.device_id, core::Trace{trace});
+    }
   }
   fleet.flush();
   const fleet::FleetStats stats = fleet.stats();

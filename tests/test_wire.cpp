@@ -158,6 +158,17 @@ TEST(WireFrame, UnknownTypeThrows) {
   EXPECT_THROW(decoder.next(frame), emts::precondition_error);
 }
 
+TEST(WireFrame, NonzeroReservedBytesThrow) {
+  // A decoded frame must re-encode to its own bytes, so the decoder cannot
+  // accept a header the encoder never writes.
+  std::string bytes = encode("dev", 1e6, ramp_trace(8));
+  bytes[7] = 1;
+  FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  TraceFrame frame;
+  EXPECT_THROW(decoder.next(frame), emts::precondition_error);
+}
+
 TEST(WireFrame, AbsurdPayloadSizeRejectedBeforeBuffering) {
   // A header claiming a payload beyond the cap must throw immediately from
   // the 12 header bytes alone — no waiting for (or allocating) gigabytes.
