@@ -23,8 +23,14 @@ int main() {
   const auto triggering = bench::capture_set(chip, sim::Pickup::kOnChipSensor, 16, 1000);
   chip.disarm_all();
 
-  const auto spec_golden = dsp::mean_spectrum(golden.traces, golden.sample_rate);
-  const auto spec_a2 = dsp::mean_spectrum(triggering.traces, triggering.sample_rate);
+  // The golden mean spectrum is the detector's calibrated reference; the A2
+  // mean runs through the same streaming analyzer.
+  const auto detector = core::SpectralDetector::calibrate(golden);
+  const dsp::Spectrum& spec_golden = detector.golden_spectrum();
+  dsp::SpectrumAnalyzer analyzer;
+  analyzer.ensure_stream(triggering.traces.front().size(), triggering.sample_rate);
+  for (const auto& trace : triggering.traces) analyzer.stream_push(trace);
+  const dsp::Spectrum& spec_a2 = analyzer.stream_mean();
 
   // Series: 30..110 MHz in 3 MHz steps, plus the exact spot frequencies.
   std::printf("spectrum series (re-plot of Fig. 4; amplitudes in volts):\n\n");
@@ -41,7 +47,6 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const auto detector = core::SpectralDetector::calibrate(golden);
   const auto report = detector.analyze(triggering);
   std::printf("spectral detector verdict: %zu anomalies\n", report.anomalies.size());
   for (const auto& a : report.anomalies) {

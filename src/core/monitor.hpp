@@ -19,10 +19,10 @@
 // classify instead of W FFTs. Captures are not retained: the running sum and
 // a fill count are the whole window state, and a snapshot carries exactly
 // those. Windows tumble (the sum is zeroed at every boundary), so the sum
-// never retires an entry and needs no drift control. Anomaly kinds, bins and
-// verdicts agree with SpectralDetector::analyze() over the same window, with
-// ratios equal to within floating-point rounding. MonitorStats and the
-// drainable event log expose what the loop did without perturbing it.
+// never retires an entry and needs no drift control. A windowed report is
+// bitwise equal to SpectralDetector::analyze() over the same window, which
+// runs the same accumulator. MonitorStats and the drainable event log expose
+// what the loop did without perturbing it.
 #pragma once
 
 #include <cstddef>

@@ -30,31 +30,21 @@ SpectralDetector SpectralDetector::calibrate(const TraceSet& golden, const Optio
   EMTS_REQUIRE(std::isfinite(golden.sample_rate) && golden.sample_rate > 0.0,
                "spectral calibration: sample rate must be finite and positive");
   golden.validate();
-  dsp::Spectrum spectrum =
-      dsp::mean_spectrum(golden.traces, golden.sample_rate, options.spectrum);
-  return SpectralDetector{options, std::move(spectrum), golden.sample_rate};
+  // The golden mean runs through the same streaming accumulator the runtime
+  // path uses, so a calibrated golden spectrum and a monitored window's mean
+  // are computed by one transform.
+  dsp::SpectrumAnalyzer analyzer{options.spectrum};
+  analyzer.ensure_stream(golden.traces.front().size(), golden.sample_rate);
+  for (const Trace& trace : golden.traces) analyzer.stream_push(trace);
+  return SpectralDetector{options, analyzer.stream_mean(), golden.sample_rate};
 }
 
 SpectralReport SpectralDetector::analyze(const TraceSet& suspect) const {
   EMTS_REQUIRE(!suspect.empty(), "spectral analysis needs traces");
   suspect.validate();
-  EMTS_REQUIRE(std::abs(suspect.sample_rate - sample_rate_) < 1e-6 * sample_rate_,
-               "suspect sample rate differs from calibration");
-  const dsp::Spectrum spectrum =
-      dsp::mean_spectrum(suspect.traces, suspect.sample_rate, options_.spectrum);
-  EMTS_REQUIRE(spectrum.size() == golden_.size(),
-               "suspect trace length differs from calibration");
-
-  SpectralReport report;
-  // Peaks must clear the *suspect's own* floor as well as the golden floor:
-  // a Trojan that merely lifts the broadband floor (spread-spectrum leaks
-  // like T3) raises the median with it and creates no spot — exactly the
-  // paper's observation that T3 evades the spectral method.
-  const double floor_level = std::max(noise_floor_, stats::median(spectrum.amplitude));
-  const auto suspect_peaks =
-      dsp::find_peaks(spectrum, options_.new_spot_factor * floor_level);
-  match_peaks(suspect_peaks, report);
-  return report;
+  SpectralScratch scratch = make_scratch();
+  for (const Trace& trace : suspect.traces) stream_observe(trace, suspect.sample_rate, scratch);
+  return stream_finish(suspect.size(), suspect.sample_rate, scratch);
 }
 
 void SpectralDetector::stream_observe(const Trace& trace, double sample_rate,
@@ -78,8 +68,10 @@ const SpectralReport& SpectralDetector::stream_finish(std::size_t window_count,
   const dsp::Spectrum& spectrum = scratch.analyzer.stream_mean();
   EMTS_REQUIRE(spectrum.size() == golden_.size(),
                "suspect trace length differs from calibration");
-  // Same floor rule as analyze(): peaks must clear the suspect's own median
-  // as well as the golden floor.
+  // Peaks must clear the *suspect's own* floor as well as the golden floor:
+  // a Trojan that merely lifts the broadband floor (spread-spectrum leaks
+  // like T3) raises the median with it and creates no spot — exactly the
+  // paper's observation that T3 evades the spectral method.
   scratch.floor_scratch.assign(spectrum.amplitude.begin(), spectrum.amplitude.end());
   const double floor_level =
       std::max(noise_floor_, stats::median_in_place(scratch.floor_scratch));
@@ -126,10 +118,9 @@ void SpectralDetector::match_peaks(const std::vector<dsp::SpectralPeak>& peaks,
 }
 
 SpectralReport SpectralDetector::analyze(const Trace& trace) const {
-  TraceSet set;
-  set.sample_rate = sample_rate_;
-  set.add(trace);
-  return analyze(set);
+  SpectralScratch scratch = make_scratch();
+  stream_observe(trace, sample_rate_, scratch);
+  return stream_finish(1, sample_rate_, scratch);
 }
 
 double SpectralDetector::score(const Trace& trace) const {
@@ -212,7 +203,9 @@ SpectralDetector SpectralDetector::load(std::istream& in) {
   // serialized values are authoritative, so restore them exactly afterwards.
   SpectralDetector detector{options, std::move(golden), sample_rate};
   detector.noise_floor_ = util::read_f64(in);
-  EMTS_REQUIRE(detector.noise_floor_ > 0.0, "spectral load: bad noise floor");
+  // An infinite floor would silently blind the detector.
+  EMTS_REQUIRE(std::isfinite(detector.noise_floor_) && detector.noise_floor_ > 0.0,
+               "spectral load: noise floor must be finite and positive");
   const std::uint64_t spots = util::read_u64(in);
   EMTS_REQUIRE(spots < (1ull << 20), "spectral load: implausible spot count");
   detector.golden_spots_.clear();
@@ -223,6 +216,9 @@ SpectralDetector SpectralDetector::load(std::istream& in) {
     spot.frequency = util::read_f64(in);
     spot.amplitude = util::read_f64(in);
     EMTS_REQUIRE(spot.bin < detector.golden_.size(), "spectral load: spot bin out of range");
+    EMTS_REQUIRE(std::isfinite(spot.frequency) && std::isfinite(spot.amplitude) &&
+                     spot.amplitude > 0.0,
+                 "spectral load: spot must have a finite frequency and positive amplitude");
     detector.golden_spots_.push_back(spot);
   }
   return detector;

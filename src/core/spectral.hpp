@@ -61,7 +61,8 @@ class SpectralDetector : public Detector {
     std::size_t match_bins = 2;
   };
 
-  /// Fits the golden reference spectrum. Requires >= 1 trace.
+  /// Fits the golden reference spectrum: the SpectrumAnalyzer streamed mean
+  /// over the golden traces. Requires >= 1 trace.
   static SpectralDetector calibrate(const TraceSet& golden, const Options& options);
   static SpectralDetector calibrate(const TraceSet& golden);  // default options
 
@@ -77,7 +78,8 @@ class SpectralDetector : public Detector {
   /// Whole-window verdict from one mean-spectrum analysis.
   DetectorReport evaluate_set(const TraceSet& suspect, double alarm_fraction) const override;
 
-  /// Analyzes a set of suspect traces (averaged spectrum).
+  /// Analyzes a set of suspect traces (averaged spectrum): stream_observe()
+  /// over the set, then stream_finish().
   SpectralReport analyze(const TraceSet& suspect) const;
 
   /// Analyzes one trace.
@@ -107,10 +109,10 @@ class SpectralDetector : public Detector {
   /// Runtime path, step 2 — call at the window boundary: classifies the
   /// running mean spectrum (an O(bins) pass) against the golden spots. The
   /// accumulator must hold exactly the window's `window_count` traces, the
-  /// caller's own fill count, as a cross-check. Amplitudes match
-  /// analyze() over the same traces as a TraceSet to floating-point
-  /// rounding, so anomaly kinds, bins and verdicts agree with it; the
-  /// returned reference stays valid until the next call with this scratch.
+  /// caller's own fill count, as a cross-check. analyze() over the same
+  /// traces as a TraceSet is exactly this pair, so its report is bitwise
+  /// equal; the returned reference stays valid until the next call with
+  /// this scratch.
   const SpectralReport& stream_finish(std::size_t window_count, double sample_rate,
                                       SpectralScratch& scratch) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/fft.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
 #include "util/units.hpp"
@@ -22,56 +21,6 @@ std::size_t Spectrum::bin_of(double f) const {
 double Spectrum::bin_width() const {
   EMTS_REQUIRE(frequency.size() >= 2, "bin_width requires >= 2 bins");
   return frequency[1] - frequency[0];
-}
-
-Spectrum amplitude_spectrum(const std::vector<double>& signal, double sample_rate,
-                            const SpectrumOptions& options) {
-  EMTS_REQUIRE(!signal.empty(), "amplitude_spectrum requires a non-empty signal");
-  EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
-
-  std::vector<double> work = signal;
-  if (options.remove_mean) {
-    double mean = 0.0;
-    for (double v : work) mean += v;
-    mean /= static_cast<double>(work.size());
-    for (double& v : work) v -= mean;
-  }
-
-  const auto window = make_window(options.window, work.size());
-  work = apply_window(work, window);
-  const double gain = coherent_gain(window);
-
-  const auto full = fft_real(work);
-  const std::size_t n = full.size();
-  const std::size_t bins = n / 2 + 1;
-
-  Spectrum out;
-  out.frequency.resize(bins);
-  out.amplitude.resize(bins);
-  // Zero padding stretches the transform but not the physical duration; bins
-  // are spaced by fs/n_padded while amplitude correction uses the window sum.
-  for (std::size_t k = 0; k < bins; ++k) {
-    out.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(n);
-    const double mag = std::abs(full[k]);
-    const bool interior = (k != 0) && (k != n / 2);
-    out.amplitude[k] = (interior ? 2.0 : 1.0) * mag / gain;
-  }
-  return out;
-}
-
-Spectrum mean_spectrum(const std::vector<std::vector<double>>& signals, double sample_rate,
-                       const SpectrumOptions& options) {
-  EMTS_REQUIRE(!signals.empty(), "mean_spectrum requires at least one trace");
-  Spectrum acc = amplitude_spectrum(signals.front(), sample_rate, options);
-  for (std::size_t i = 1; i < signals.size(); ++i) {
-    EMTS_REQUIRE(signals[i].size() == signals.front().size(),
-                 "mean_spectrum requires equal-length traces");
-    const Spectrum s = amplitude_spectrum(signals[i], sample_rate, options);
-    for (std::size_t k = 0; k < acc.amplitude.size(); ++k) acc.amplitude[k] += s.amplitude[k];
-  }
-  const double inv = 1.0 / static_cast<double>(signals.size());
-  for (double& a : acc.amplitude) a *= inv;
-  return acc;
 }
 
 std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplitude,
@@ -118,82 +67,64 @@ void SpectrumAnalyzer::prepare(std::size_t n, double sample_rate) {
   window_ = make_window(options_.window, n);
   gain_ = coherent_gain(window_);
 
-  const std::size_t padded = next_power_of_two(n);
-  if (!plan_.has_value() || plan_->size() != padded) plan_.emplace(padded);
+  padded_ = next_power_of_two(n);
+  const std::size_t half = std::max<std::size_t>(padded_ / 2, 1);
+  if (plan_.size() != half) plan_ = FftPlan{half};
+  data_.resize(half);
+  twiddles_.resize(half + 1);
+  for (std::size_t k = 0; k <= half; ++k) {
+    const double angle = -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(padded_);
+    twiddles_[k] = cplx{std::cos(angle), std::sin(angle)};
+  }
 
-  const std::size_t bins = padded / 2 + 1;
+  const std::size_t bins = padded_ / 2 + 1;
   out_.frequency.resize(bins);
   out_.amplitude.resize(bins);
   amp_.resize(bins);
   for (std::size_t k = 0; k < bins; ++k) {
-    out_.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(padded);
+    out_.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(padded_);
   }
 }
 
-void SpectrumAnalyzer::preprocess(const std::vector<double>& signal) {
-  // Mirrors amplitude_spectrum step for step (same summation order, same
-  // window product) so the single-signal path stays bit-identical to the
-  // allocating one.
-  work_.assign(signal.begin(), signal.end());
+void SpectrumAnalyzer::transform(const std::vector<double>& signal) {
+  const std::size_t n = signal.size();
+  double mean = 0.0;
   if (options_.remove_mean) {
-    double mean = 0.0;
-    for (double v : work_) mean += v;
-    mean /= static_cast<double>(work_.size());
-    for (double& v : work_) v -= mean;
+    for (double v : signal) mean += v;
+    mean /= static_cast<double>(n);
   }
-  for (std::size_t i = 0; i < work_.size(); ++i) work_[i] *= window_[i];
-}
+  // Detrended, windowed sample i; zero in the padding past the signal.
+  const auto sample = [&](std::size_t i) {
+    return i < n ? (signal[i] - mean) * window_[i] : 0.0;
+  };
 
-void SpectrumAnalyzer::transform_into_amp() {
-  const std::size_t padded = plan_->size();
-  data_.assign(padded, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < work_.size(); ++i) data_[i] = cplx{work_[i], 0.0};
-  plan_->forward(data_);
-
-  const std::size_t bins = padded / 2 + 1;
-  for (std::size_t k = 0; k < bins; ++k) {
-    const double mag = std::abs(data_[k]);
-    const bool interior = (k != 0) && (k != padded / 2);
-    amp_[k] = (interior ? 2.0 : 1.0) * mag / gain_;
-  }
-}
-
-void SpectrumAnalyzer::transform_realsplit_into_amp() {
-  const std::size_t padded = plan_->size();
-  if (padded < 2) {
-    // A 1-point transform has no half-size plan; the full path is O(1) here.
-    transform_into_amp();
+  if (padded_ < 2) {
+    // One sample, one bin: the transform is the sample itself.
+    amp_[0] = std::abs(sample(0)) / gain_;
     return;
   }
   // Real-split: even samples ride the real lane, odd samples the imaginary
   // lane of one N/2 complex FFT. Conjugate symmetry untangles the two real
   // half-streams E (even) and O (odd), and the classic decimation-in-time
   // recombination X[k] = E[k] + e^{-2πik/N}·O[k] yields the length-N real
-  // transform for k = 0..N/2 — one half-size FFT per push.
-  const std::size_t half = padded / 2;
-  data_half_.assign(half, cplx{0.0, 0.0});
-  const std::size_t n = work_.size();
-  for (std::size_t i = 0; i < half; ++i) {
-    const double re = (2 * i < n) ? work_[2 * i] : 0.0;
-    const double im = (2 * i + 1 < n) ? work_[2 * i + 1] : 0.0;
-    data_half_[i] = cplx{re, im};
-  }
-  plan_half_->forward(data_half_);
+  // transform for k = 0..N/2.
+  const std::size_t half = padded_ / 2;
+  for (std::size_t i = 0; i < half; ++i) data_[i] = cplx{sample(2 * i), sample(2 * i + 1)};
+  plan_.forward(data_);
 
-  const std::size_t bins = half + 1;
-  for (std::size_t k = 0; k < bins; ++k) {
+  for (std::size_t k = 0; k <= half; ++k) {
     const std::size_t kk = k % half;            // k = half wraps to bin 0
     const std::size_t mm = (half - k) % half;   // mirror bin; k=0 -> 0
-    const double zr = data_half_[kk].real();
-    const double zi = data_half_[kk].imag();
-    const double mr = data_half_[mm].real();
-    const double mi = -data_half_[mm].imag();  // conj(Z[half-k])
+    const double zr = data_[kk].real();
+    const double zi = data_[kk].imag();
+    const double mr = data_[mm].real();
+    const double mi = -data_[mm].imag();       // conj(Z[half-k])
     const double er = 0.5 * (zr + mr);         // E[k] = (Z[k] + conj(Z[m])) / 2
     const double ei = 0.5 * (zi + mi);
     const double odd_r = 0.5 * (zi - mi);      // O[k] = -i (Z[k] - conj(Z[m])) / 2
     const double odd_i = -0.5 * (zr - mr);
-    const double tr = stream_tw_[k].real();
-    const double ti = stream_tw_[k].imag();
+    const double tr = twiddles_[k].real();
+    const double ti = twiddles_[k].imag();
     const double xr = er + tr * odd_r - ti * odd_i;
     const double xi = ei + tr * odd_i + ti * odd_r;
     const double mag = std::abs(cplx{xr, xi});
@@ -205,41 +136,24 @@ void SpectrumAnalyzer::transform_realsplit_into_amp() {
 const Spectrum& SpectrumAnalyzer::analyze(const std::vector<double>& signal,
                                           double sample_rate) {
   prepare(signal.size(), sample_rate);
-  preprocess(signal);
-  transform_into_amp();
+  transform(signal);
   out_.amplitude.assign(amp_.begin(), amp_.end());
   return out_;
 }
 
 void SpectrumAnalyzer::ensure_stream(std::size_t trace_length, double sample_rate) {
   prepare(trace_length, sample_rate);
-  const std::size_t padded = plan_->size();
-  if (padded >= 2) {
-    const std::size_t half = padded / 2;
-    if (!plan_half_.has_value() || plan_half_->size() != half) {
-      plan_half_.emplace(half);
-      data_half_.reserve(half);
-      stream_tw_.resize(half + 1);
-      for (std::size_t k = 0; k <= half; ++k) {
-        const double angle =
-            -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(padded);
-        stream_tw_[k] = cplx{std::cos(angle), std::sin(angle)};
-      }
-    }
-  }
-  const std::size_t bins = padded / 2 + 1;
-  if (stream_sum_.size() != bins) {
+  if (stream_sum_.size() != amp_.size()) {
     EMTS_REQUIRE(stream_count_ == 0,
                  "SpectrumAnalyzer::ensure_stream: accumulator shape change mid-stream");
-    stream_sum_.assign(bins, 0.0);
+    stream_sum_.assign(amp_.size(), 0.0);
   }
 }
 
 void SpectrumAnalyzer::stream_push(const std::vector<double>& signal) {
   EMTS_REQUIRE(signal.size() == signal_length_ && stream_sum_.size() == amp_.size(),
                "SpectrumAnalyzer::stream_push: trace length differs from ensure_stream()");
-  preprocess(signal);
-  transform_realsplit_into_amp();
+  transform(signal);
   for (std::size_t k = 0; k < stream_sum_.size(); ++k) stream_sum_[k] += amp_[k];
   ++stream_count_;
 }
@@ -286,6 +200,12 @@ Spectrum load_spectrum(std::istream& in) {
   EMTS_REQUIRE(spectrum.frequency.size() == spectrum.amplitude.size(),
                "load_spectrum: ragged spectrum");
   EMTS_REQUIRE(!spectrum.amplitude.empty(), "load_spectrum: empty spectrum");
+  for (std::size_t k = 0; k < spectrum.size(); ++k) {
+    EMTS_REQUIRE(std::isfinite(spectrum.frequency[k]), "load_spectrum: non-finite frequency");
+    // Amplitudes are magnitudes; a NaN bin would poison every ratio built on it.
+    EMTS_REQUIRE(std::isfinite(spectrum.amplitude[k]) && spectrum.amplitude[k] >= 0.0,
+                 "load_spectrum: amplitudes must be finite and >= 0");
+  }
   return spectrum;
 }
 

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -33,15 +32,6 @@ struct SpectrumOptions {
   bool remove_mean = true;  // suppress the DC bin so it never masks tones
 };
 
-/// Computes the one-sided amplitude spectrum. `sample_rate` in Hz.
-/// The signal is zero-padded to a power of two.
-Spectrum amplitude_spectrum(const std::vector<double>& signal, double sample_rate,
-                            const SpectrumOptions& options = {});
-
-/// Averaged amplitude spectrum over several traces of equal length.
-Spectrum mean_spectrum(const std::vector<std::vector<double>>& signals, double sample_rate,
-                       const SpectrumOptions& options = {});
-
 /// A local maximum in a spectrum.
 struct SpectralPeak {
   std::size_t bin = 0;
@@ -62,20 +52,23 @@ std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplit
 void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
                      std::vector<SpectralPeak>& peaks, std::size_t max_peaks = 32);
 
-/// Reusable spectral pass: caches the window coefficients, the FFT plans and
-/// every working buffer for one trace length, so repeated analyze() /
-/// stream_push() calls on equally sized signals perform zero heap
-/// allocations after the first (warm-up) pass. analyze() is bit-identical to
-/// amplitude_spectrum with the same options.
+/// EMSentry's one amplitude-spectrum transform. A signal of length n is
+/// detrended (options.remove_mean), windowed, zero-padded to N, the next power
+/// of two, and transformed by one N/2-point real-split FFT: even samples in
+/// the real lane, odd samples in the imaginary lane, untangled with cached
+/// twiddles into bins 0..N/2. Interior bins are doubled and every bin is
+/// divided by the window's coherent gain, so a bin-centred tone of amplitude A
+/// reads A. The window, plan, twiddles and buffers are cached per trace length
+/// and sample rate, so repeated passes of one shape perform zero heap
+/// allocations after the first.
 ///
-/// The streaming mean-spectrum mode runs one half-size real-split FFT per
-/// push and adds the amplitudes into a running per-bin sum; stream_mean()
-/// divides the sum by the live count, so a window boundary costs one O(bins)
-/// pass instead of W FFTs. Per-push amplitudes match amplitude_spectrum to
-/// floating-point rounding (a few ULPs per bin), which the tolerance-based
-/// anomaly classification absorbs. The running sum and count are the whole
-/// accumulator state: stream_restore() reinstates a saved pair bit-exactly
-/// (this is how a snapshot restore recovers a partial window).
+/// analyze() returns one signal's spectrum. The streaming mode adds each
+/// pushed signal's spectrum into a running per-bin sum, and stream_mean()
+/// divides the sum by the live count; a window boundary costs one O(bins)
+/// pass instead of W transforms. Spectral calibration, offline analysis and
+/// the runtime monitor all run this mode, so their spectra agree bitwise.
+/// The running sum and count are the whole accumulator state:
+/// stream_restore() reinstates a saved pair bit-exactly.
 class SpectrumAnalyzer {
  public:
   explicit SpectrumAnalyzer(const SpectrumOptions& options = {});
@@ -112,37 +105,29 @@ class SpectrumAnalyzer {
 
  private:
   void prepare(std::size_t n, double sample_rate);
-  /// Detrend + window one signal into work_ (same arithmetic order as
-  /// amplitude_spectrum).
-  void preprocess(const std::vector<double>& signal);
-  /// Full-size FFT of the preprocessed work_ into amp_.
-  void transform_into_amp();
-  /// Real-split half-size FFT of the preprocessed work_ into amp_ (even
-  /// samples in the real lane, odd in the imaginary lane of an N/2 complex
-  /// transform, untangled with precomputed twiddles).
-  void transform_realsplit_into_amp();
+  /// Detrends, windows and transforms one signal into amp_.
+  void transform(const std::vector<double>& signal);
 
   SpectrumOptions options_;
   std::size_t signal_length_ = 0;
   double sample_rate_ = 0.0;
   std::vector<double> window_;     // coefficients for signal_length_
   double gain_ = 0.0;              // coherent gain of window_
-  std::optional<FftPlan> plan_;    // plan for the padded length
-  std::vector<double> work_;       // detrended + windowed signal
-  std::vector<cplx> data_;         // FFT working buffer (padded)
-  std::vector<double> amp_;        // per-trace amplitude scratch
+  std::size_t padded_ = 0;         // N: signal_length_ rounded up to a power of two
+  FftPlan plan_{1};                // N/2-point plan (1 when N == 1)
+  std::vector<cplx> twiddles_;     // untangle twiddles e^{-2πik/N}, k = 0..N/2
+  std::vector<cplx> data_;         // N/2-point FFT working buffer
+  std::vector<double> amp_;        // per-signal amplitude scratch
   Spectrum out_;                   // analyze()/stream_mean() result buffer
   std::size_t warmups_ = 0;
-  std::optional<FftPlan> plan_half_;  // N/2 plan for the real-split transform
-  std::vector<cplx> data_half_;       // half-size FFT working buffer
-  std::vector<cplx> stream_tw_;       // untangle twiddles e^{-2πik/N}, half+1
-  std::vector<double> stream_sum_;    // running per-bin amplitude sum
-  std::size_t stream_count_ = 0;      // traces in the running sum
+  std::vector<double> stream_sum_;  // running per-bin amplitude sum
+  std::size_t stream_count_ = 0;    // signals in the running sum
 };
 
 /// Binary round-trip of a reference spectrum (the spectral detector's golden
 /// model in an EMCA calibration artifact). load_spectrum restores the bins
-/// bit-identically and throws precondition_error on truncation or mismatch.
+/// bit-identically and throws precondition_error on truncation, mismatch, a
+/// non-finite frequency, or an amplitude that is not finite and >= 0.
 void save_spectrum(std::ostream& out, const Spectrum& spectrum);
 Spectrum load_spectrum(std::istream& in);
 

@@ -43,6 +43,7 @@ Spectrogram stft(const std::vector<double>& signal, double sample_rate,
 
   const auto window = make_window(options.window, options.window_length);
   const double gain = coherent_gain(window);
+  const FftPlan plan{options.window_length};
   const std::size_t bins = options.window_length / 2 + 1;
 
   Spectrogram spec;
@@ -61,7 +62,7 @@ Spectrogram stft(const std::vector<double>& signal, double sample_rate,
     for (std::size_t i = 0; i < options.window_length; ++i) {
       frame[i] = cplx{(signal[start + i] - mean) * window[i], 0.0};
     }
-    fft_in_place(frame);
+    plan.forward(frame);
 
     std::vector<double> mags(bins);
     for (std::size_t b = 0; b < bins; ++b) {

@@ -7,8 +7,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "baseline/ron.hpp"
 #include "core/monitor.hpp"
@@ -216,6 +220,76 @@ TEST_F(CalibrationArtifactTest, RejectsUnknownDetectorName) {
   file.write("euclidoon", 9);
   file.close();
   EXPECT_THROW(load_calibration(path_), emts::precondition_error);
+}
+
+// Byte offset of the spectral detector's payload in an EMCA image: walks the
+// length-framed detector records (u32 name length, name, u64 payload size)
+// that follow the 28-byte header.
+std::size_t spectral_payload_offset(const std::string& bytes) {
+  std::size_t pos = 28;
+  for (;;) {
+    std::uint32_t name_length = 0;
+    std::memcpy(&name_length, bytes.data() + pos, sizeof name_length);
+    pos += sizeof name_length;
+    const std::string name = bytes.substr(pos, name_length);
+    pos += name_length;
+    std::uint64_t payload_size = 0;
+    std::memcpy(&payload_size, bytes.data() + pos, sizeof payload_size);
+    pos += sizeof payload_size;
+    if (name == "spectral") return pos;
+    pos += payload_size;
+  }
+}
+
+// A golden spectrum or noise floor that is not a finite magnitude poisons the
+// spectral stage: a NaN bin makes every ratio built on it NaN (breaking the
+// anomaly sort), and an infinite floor silently blinds the detector. Inside
+// the spectral payload, after the 37 bytes of options and the f64 sample
+// rate, sit the frequency and amplitude vectors (u64 count + f64 entries),
+// the f64 noise floor, the u64 spot count and the spots (u64 bin, f64
+// frequency, f64 amplitude).
+TEST_F(CalibrationArtifactTest, RejectsCorruptSpectralSection) {
+  std::ostringstream out{std::ios::binary};
+  save_calibration(out, core::TrustEvaluator::calibrate(make_set(20, false, 16)));
+  const std::string clean = out.str();
+
+  const std::size_t frequencies = spectral_payload_offset(clean) + 37 + 8;
+  std::uint64_t bins = 0;
+  std::memcpy(&bins, clean.data() + frequencies, sizeof bins);
+  const std::size_t amplitudes = frequencies + 8 + 8 * bins;
+  const std::size_t noise_floor = amplitudes + 8 + 8 * bins;
+  std::uint64_t spots = 0;
+  std::memcpy(&spots, clean.data() + noise_floor + 8, sizeof spots);
+  ASSERT_GT(spots, 0u);
+  const std::size_t first_spot = noise_floor + 16;
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    std::size_t offset;
+    double value;
+  } corruptions[] = {
+      {"NaN frequency", frequencies + 8 + 8 * 3, nan},
+      {"infinite frequency", frequencies + 8 + 8 * 3, inf},
+      {"NaN amplitude", amplitudes + 8 + 8 * 3, nan},
+      {"infinite amplitude", amplitudes + 8 + 8 * 3, inf},
+      {"negative amplitude", amplitudes + 8 + 8 * 3, -1e-9},
+      {"infinite noise floor", noise_floor, inf},
+      {"NaN noise floor", noise_floor, nan},
+      {"NaN spot frequency", first_spot + 8, nan},
+      {"NaN spot amplitude", first_spot + 16, nan},
+      {"infinite spot amplitude", first_spot + 16, inf},
+  };
+  for (const auto& corruption : corruptions) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + corruption.offset, &corruption.value, sizeof corruption.value);
+    std::istringstream in{bytes, std::ios::binary};
+    EXPECT_THROW(load_calibration(in), emts::precondition_error) << corruption.what;
+  }
+
+  std::istringstream in{clean, std::ios::binary};
+  EXPECT_NO_THROW(load_calibration(in));
 }
 
 }  // namespace

@@ -258,10 +258,8 @@ TEST(SpectralDetector, SingleTraceAnalyzeOverloadWorks) {
   EXPECT_TRUE(report.anomalous());
 }
 
-// The runtime pair stream_observe + stream_finish sums per-push real-split
-// spectra, so suspect amplitudes match the copying analyze() path to
-// floating-point rounding; anomaly kinds, frequencies and golden references
-// must agree exactly.
+// analyze() over a TraceSet is the runtime pair stream_observe +
+// stream_finish over the same traces, so the two reports agree bitwise.
 TEST(SpectralDetector, StreamFinishMatchesAnalyze) {
   const auto det = SpectralDetector::calibrate(golden_set(16));
   emts::Rng rng{60};
@@ -282,14 +280,11 @@ TEST(SpectralDetector, StreamFinishMatchesAnalyze) {
   for (std::size_t i = 0; i < copied.anomalies.size(); ++i) {
     EXPECT_EQ(streamed.anomalies[i].kind, copied.anomalies[i].kind) << i;
     EXPECT_EQ(streamed.anomalies[i].frequency_hz, copied.anomalies[i].frequency_hz) << i;
-    // Golden amplitudes come straight from calibration state — exact.
     EXPECT_EQ(streamed.anomalies[i].golden_amplitude, copied.anomalies[i].golden_amplitude)
         << i;
-    // Suspect-side values ride the real-split FFT: rounding-level agreement.
-    EXPECT_NEAR(streamed.anomalies[i].suspect_amplitude, copied.anomalies[i].suspect_amplitude,
-                1e-9 * std::abs(copied.anomalies[i].suspect_amplitude)) << i;
-    EXPECT_NEAR(streamed.anomalies[i].ratio, copied.anomalies[i].ratio,
-                1e-9 * std::abs(copied.anomalies[i].ratio)) << i;
+    EXPECT_EQ(streamed.anomalies[i].suspect_amplitude, copied.anomalies[i].suspect_amplitude)
+        << i;
+    EXPECT_EQ(streamed.anomalies[i].ratio, copied.anomalies[i].ratio) << i;
   }
 
   // A second finish over the same accumulator reproduces the report.

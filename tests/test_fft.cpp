@@ -31,7 +31,7 @@ TEST(FftHelpers, NextPowerOfTwo) {
 TEST(Fft, ImpulseHasFlatSpectrum) {
   std::vector<cplx> data(8, cplx{0, 0});
   data[0] = cplx{1, 0};
-  fft_in_place(data);
+  FftPlan{8}.forward(data);
   for (const auto& x : data) {
     EXPECT_NEAR(x.real(), 1.0, 1e-12);
     EXPECT_NEAR(x.imag(), 0.0, 1e-12);
@@ -40,7 +40,7 @@ TEST(Fft, ImpulseHasFlatSpectrum) {
 
 TEST(Fft, ConstantSignalHasOnlyDc) {
   std::vector<cplx> data(16, cplx{2.5, 0});
-  fft_in_place(data);
+  FftPlan{16}.forward(data);
   EXPECT_NEAR(data[0].real(), 40.0, 1e-10);
   for (std::size_t k = 1; k < data.size(); ++k) EXPECT_NEAR(std::abs(data[k]), 0.0, 1e-10);
 }
@@ -54,7 +54,7 @@ TEST(Fft, SingleToneLandsInItsBin) {
         2.0 * units::pi * static_cast<double>(tone_bin * i) / static_cast<double>(n);
     data[i] = cplx{std::cos(phase), 0.0};
   }
-  fft_in_place(data);
+  FftPlan{n}.forward(data);
   // cos tone of amplitude 1 -> N/2 in bins +/- tone.
   EXPECT_NEAR(std::abs(data[tone_bin]), static_cast<double>(n) / 2.0, 1e-8);
   EXPECT_NEAR(std::abs(data[n - tone_bin]), static_cast<double>(n) / 2.0, 1e-8);
@@ -65,8 +65,7 @@ TEST(Fft, SingleToneLandsInItsBin) {
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<cplx> data(12);
-  EXPECT_THROW(fft_in_place(data), emts::precondition_error);
+  EXPECT_THROW(FftPlan{12}, emts::precondition_error);
 }
 
 TEST(Fft, LinearityHolds) {
@@ -81,9 +80,10 @@ TEST(Fft, LinearityHolds) {
     b[i] = cplx{rng.gaussian(), rng.gaussian()};
     combo[i] = alpha * a[i] + b[i];
   }
-  fft_in_place(a);
-  fft_in_place(b);
-  fft_in_place(combo);
+  const FftPlan plan{n};
+  plan.forward(a);
+  plan.forward(b);
+  plan.forward(combo);
   for (std::size_t k = 0; k < n; ++k) {
     const cplx expected = alpha * a[k] + b[k];
     EXPECT_NEAR(std::abs(combo[k] - expected), 0.0, 1e-9);
@@ -99,7 +99,7 @@ TEST(Fft, ParsevalEnergyConserved) {
     x = cplx{rng.gaussian(), 0.0};
     time_energy += std::norm(x);
   }
-  fft_in_place(data);
+  FftPlan{n}.forward(data);
   double freq_energy = 0.0;
   for (const auto& x : data) freq_energy += std::norm(x);
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-6 * time_energy);
@@ -107,14 +107,19 @@ TEST(Fft, ParsevalEnergyConserved) {
 
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
+// The inverse transform is the forward one under conjugation:
+// x = conj(FFT(conj(X))) / N, so a plan alone round-trips.
 TEST_P(FftRoundTrip, InverseRecoversInput) {
   const std::size_t n = GetParam();
   emts::Rng rng{emts::mix64(n)};
   std::vector<cplx> original(n);
   for (auto& x : original) x = cplx{rng.gaussian(), rng.gaussian()};
+  const FftPlan plan{n};
   auto data = original;
-  fft_in_place(data);
-  ifft_in_place(data);
+  plan.forward(data);
+  for (auto& x : data) x = std::conj(x);
+  plan.forward(data);
+  for (auto& x : data) x = std::conj(x) / static_cast<double>(n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
     EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
@@ -123,60 +128,6 @@ TEST_P(FftRoundTrip, InverseRecoversInput) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values<std::size_t>(1, 2, 4, 8, 64, 1024, 4096));
-
-TEST(FftReal, ZeroPadsToPowerOfTwo) {
-  const std::vector<double> sig(100, 1.0);
-  const auto spec = fft_real(sig);
-  EXPECT_EQ(spec.size(), 128u);
-  EXPECT_NEAR(spec[0].real(), 100.0, 1e-10);
-}
-
-TEST(FftReal, RealInputHasConjugateSymmetry) {
-  emts::Rng rng{99};
-  std::vector<double> sig(128);
-  for (double& v : sig) v = rng.gaussian();
-  const auto spec = fft_real(sig);
-  const std::size_t n = spec.size();
-  for (std::size_t k = 1; k < n / 2; ++k) {
-    EXPECT_NEAR(spec[k].real(), spec[n - k].real(), 1e-9);
-    EXPECT_NEAR(spec[k].imag(), -spec[n - k].imag(), 1e-9);
-  }
-}
-
-TEST(FftReal, RejectsEmptyInput) {
-  EXPECT_THROW(fft_real({}), emts::precondition_error);
-}
-
-TEST(IfftReal, RoundTripsRealSignal) {
-  emts::Rng rng{321};
-  std::vector<double> sig(256);
-  for (double& v : sig) v = rng.gaussian();
-  const auto back = ifft_real(fft_real(sig));
-  ASSERT_EQ(back.size(), 256u);
-  for (std::size_t i = 0; i < sig.size(); ++i) EXPECT_NEAR(back[i], sig[i], 1e-9);
-}
-
-// The plan caches twiddles generated with the exact recurrence fft_in_place
-// uses, so the two paths must agree to the last bit — the monitor swaps
-// between them and scores may not move by even one ULP.
-TEST(FftPlan, ForwardMatchesOneShotFftBitwise) {
-  emts::Rng rng{314};
-  for (std::size_t n : {1u, 2u, 8u, 64u, 1024u}) {
-    std::vector<cplx> reference(n);
-    for (auto& x : reference) x = cplx{rng.gaussian(), rng.gaussian()};
-    std::vector<cplx> planned = reference;
-
-    fft_in_place(reference);
-    const FftPlan plan{n};
-    EXPECT_EQ(plan.size(), n);
-    plan.forward(planned);
-
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(planned[k].real(), reference[k].real()) << "n=" << n << " bin " << k;
-      EXPECT_EQ(planned[k].imag(), reference[k].imag()) << "n=" << n << " bin " << k;
-    }
-  }
-}
 
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(FftPlan{0}, emts::precondition_error);

@@ -19,6 +19,7 @@
 #include "dsp/spectrum.hpp"
 #include "sim/chip.hpp"
 #include "sim/engine.hpp"
+#include "spectrum_reference.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -41,22 +42,16 @@ std::vector<double> noisy_tone(emts::Rng& rng, double freq, double fs, std::size
   return sig;
 }
 
-double peak_amplitude(const std::vector<double>& amplitude) {
-  double peak = 0.0;
-  for (double a : amplitude) peak = std::max(peak, a);
-  return peak;
-}
-
 // The real-split transform computes the same spectrum through a half-size
-// FFT, so it matches amplitude_spectrum to floating-point rounding (a few
-// ULPs per bin), not bitwise. The mean of one pushed trace is its spectrum
-// exactly (0 + a, times 1).
+// FFT, so it matches the full-size reference to floating-point rounding (a
+// few ULPs per bin), not bitwise. The mean of one pushed trace is its
+// spectrum exactly (0 + a, times 1).
 TEST(SpectrumStream, TransformMatchesAmplitudeSpectrumToRounding) {
   emts::Rng rng{901};
   for (std::size_t n : {64u, 512u, 1000u}) {  // 1000: exercises zero-padding
     std::vector<double> sig(n);
     for (double& v : sig) v = rng.gaussian();
-    const Spectrum copied = amplitude_spectrum(sig, 1000.0);
+    const Spectrum copied = test_support::reference_spectrum(sig, 1000.0);
 
     SpectrumAnalyzer analyzer;
     analyzer.ensure_stream(n, 1000.0);
@@ -64,7 +59,7 @@ TEST(SpectrumStream, TransformMatchesAmplitudeSpectrumToRounding) {
     const std::vector<double>& amp = analyzer.stream_mean().amplitude;
 
     ASSERT_EQ(amp.size(), copied.size()) << "length " << n;
-    const double peak = peak_amplitude(copied.amplitude);
+    const double peak = test_support::peak_amplitude(copied);
     for (std::size_t k = 0; k < copied.size(); ++k) {
       EXPECT_NEAR(amp[k], copied.amplitude[k], 1e-12 * peak) << "n " << n << " bin " << k;
     }
@@ -75,7 +70,7 @@ TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
   emts::Rng rng{902};
   std::vector<std::vector<double>> signals;
   for (int t = 0; t < 7; ++t) signals.push_back(noisy_tone(rng, 125.0, 1000.0, 512));
-  const Spectrum copied = mean_spectrum(signals, 1000.0);
+  const Spectrum copied = test_support::reference_mean_spectrum(signals, 1000.0);
 
   SpectrumAnalyzer analyzer;
   analyzer.ensure_stream(512, 1000.0);
@@ -84,7 +79,7 @@ TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
   const Spectrum& streamed = analyzer.stream_mean();
 
   ASSERT_EQ(streamed.size(), copied.size());
-  const double peak = peak_amplitude(copied.amplitude);
+  const double peak = test_support::peak_amplitude(copied);
   for (std::size_t k = 0; k < copied.size(); ++k) {
     EXPECT_NEAR(streamed.amplitude[k], copied.amplitude[k], 1e-12 * peak) << "bin " << k;
   }
@@ -186,18 +181,17 @@ void expect_reports_equivalent(const SpectralReport& runtime,
     const SpectralAnomaly& rhs = reference.anomalies[a];
     EXPECT_EQ(lhs.kind, rhs.kind) << context << " anomaly " << a;
     EXPECT_EQ(lhs.frequency_hz, rhs.frequency_hz) << context << " anomaly " << a;
-    // Amplitudes ride different FFT factorizations: equal to rounding only.
-    EXPECT_NEAR(lhs.ratio, rhs.ratio, 1e-9 * std::max(1.0, std::abs(rhs.ratio)))
-        << context << " anomaly " << a;
+    EXPECT_EQ(lhs.ratio, rhs.ratio) << context << " anomaly " << a;
   }
 }
 
 // ---------- RuntimeMonitor windowed reports vs the offline reference ----------
 
 // Every windowed report of the runtime path (per-push transforms summed into
-// a running mean) must agree with SpectralDetector::analyze() over the same
-// window as a TraceSet: equal anomaly kinds, bins and verdicts, with ratios
-// within a relative 1e-9 (see expect_reports_equivalent). One monitor sees
+// a running mean) must equal SpectralDetector::analyze() over the same window
+// as a TraceSet: the same anomaly kinds, bins and ratios, bitwise. The golden
+// spectrum itself is the analyzer's streamed mean over the calibration set,
+// bitwise, because calibration runs the same accumulator. One monitor sees
 // simulated golden, T1-armed and A2-armed segments; A2 is the paper's Fig. 4
 // case, whose windows carry spectral anomalies. Segment lengths are not
 // multiples of the window, so windows straddle segments, and the T1 alarm is
@@ -206,9 +200,16 @@ TEST(RuntimeMonitorIncremental, WindowedReportsMatchOfflineAnalyze) {
   constexpr std::size_t kWindow = 8;
   sim::Chip chip{sim::make_default_config()};
   const sim::CaptureEngine& engine = sim::CaptureEngine::shared();
-  const TrustEvaluator evaluator = TrustEvaluator::calibrate(
-      engine.capture_batch(chip, sim::Pickup::kOnChipSensor, 48, 10000));
+  const TraceSet golden = engine.capture_batch(chip, sim::Pickup::kOnChipSensor, 48, 10000);
+  const TrustEvaluator evaluator = TrustEvaluator::calibrate(golden);
   const SpectralDetector& offline = evaluator.spectral();
+
+  dsp::SpectrumAnalyzer analyzer{offline.options().spectrum};
+  analyzer.ensure_stream(golden.traces.front().size(), golden.sample_rate);
+  for (const Trace& trace : golden.traces) analyzer.stream_push(trace);
+  EXPECT_EQ(offline.golden_spectrum().amplitude, analyzer.stream_mean().amplitude);
+  EXPECT_EQ(offline.golden_spectrum().frequency, analyzer.stream_mean().frequency);
+
   RuntimeMonitor::Options options;
   options.spectral_window = kWindow;
   RuntimeMonitor monitor{chip.sample_rate(), evaluator, options};

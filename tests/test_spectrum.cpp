@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "spectrum_reference.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -23,12 +24,27 @@ std::vector<double> tone(double freq, double fs, std::size_t n, double amplitude
   return out;
 }
 
+// One signal's spectrum through the analyzer, copied out so it outlives it.
+Spectrum spectrum_of(const std::vector<double>& signal, double fs,
+                     const SpectrumOptions& options = {}) {
+  SpectrumAnalyzer analyzer{options};
+  return analyzer.analyze(signal, fs);
+}
+
+// The streamed mean spectrum of equal-length signals, copied out.
+Spectrum mean_spectrum_of(const std::vector<std::vector<double>>& signals, double fs) {
+  SpectrumAnalyzer analyzer;
+  analyzer.ensure_stream(signals.front().size(), fs);
+  for (const auto& signal : signals) analyzer.stream_push(signal);
+  return analyzer.stream_mean();
+}
+
 TEST(Spectrum, ToneAmplitudeRecoveredAtItsBin) {
   const double fs = 1000.0;
   const std::size_t n = 1024;
   // Bin-exact tone: 125 Hz = bin 128 of 1024 at fs 1000.
   const auto sig = tone(125.0, fs, n, 3.0);
-  const auto spec = amplitude_spectrum(sig, fs);
+  const auto spec = spectrum_of(sig, fs);
   const std::size_t k = spec.bin_of(125.0);
   EXPECT_NEAR(spec.frequency[k], 125.0, 1e-9);
   EXPECT_NEAR(spec.amplitude[k], 3.0, 0.01);
@@ -42,7 +58,7 @@ TEST(Spectrum, AmplitudeCorrectForAllWindows) {
                     WindowKind::kBlackman}) {
     SpectrumOptions opt;
     opt.window = kind;
-    const auto spec = amplitude_spectrum(sig, fs, opt);
+    const auto spec = spectrum_of(sig, fs, opt);
     EXPECT_NEAR(spec.amplitude[spec.bin_of(64.0)], 2.0, 0.05)
         << "window kind " << static_cast<int>(kind);
   }
@@ -50,7 +66,7 @@ TEST(Spectrum, AmplitudeCorrectForAllWindows) {
 
 TEST(Spectrum, DcRemovedByDefault) {
   std::vector<double> sig(512, 5.0);
-  const auto spec = amplitude_spectrum(sig, 100.0);
+  const auto spec = spectrum_of(sig, 100.0);
   EXPECT_NEAR(spec.amplitude[0], 0.0, 1e-9);
 }
 
@@ -59,19 +75,19 @@ TEST(Spectrum, DcKeptWhenRequested) {
   SpectrumOptions opt;
   opt.remove_mean = false;
   opt.window = WindowKind::kRectangular;
-  const auto spec = amplitude_spectrum(sig, 100.0, opt);
+  const auto spec = spectrum_of(sig, 100.0, opt);
   EXPECT_NEAR(spec.amplitude[0], 5.0, 1e-9);
 }
 
 TEST(Spectrum, FrequencyAxisSpansToNyquist) {
-  const auto spec = amplitude_spectrum(tone(10.0, 1000.0, 256, 1.0), 1000.0);
+  const auto spec = spectrum_of(tone(10.0, 1000.0, 256, 1.0), 1000.0);
   EXPECT_DOUBLE_EQ(spec.frequency.front(), 0.0);
   EXPECT_DOUBLE_EQ(spec.frequency.back(), 500.0);
   EXPECT_EQ(spec.size(), 129u);
 }
 
 TEST(Spectrum, BinOfClampsOutOfRange) {
-  const auto spec = amplitude_spectrum(tone(10.0, 1000.0, 256, 1.0), 1000.0);
+  const auto spec = spectrum_of(tone(10.0, 1000.0, 256, 1.0), 1000.0);
   EXPECT_EQ(spec.bin_of(-5.0), 0u);
   EXPECT_EQ(spec.bin_of(1e9), spec.size() - 1);
 }
@@ -82,7 +98,7 @@ TEST(Spectrum, TwoTonesBothVisible) {
   auto sig = tone(64.0, fs, n, 1.0);
   const auto t2 = tone(200.0, fs, n, 0.5);
   for (std::size_t i = 0; i < n; ++i) sig[i] += t2[i];
-  const auto spec = amplitude_spectrum(sig, fs);
+  const auto spec = spectrum_of(sig, fs);
   EXPECT_NEAR(spec.amplitude[spec.bin_of(64.0)], 1.0, 0.05);
   EXPECT_NEAR(spec.amplitude[spec.bin_of(200.0)], 0.5, 0.05);
 }
@@ -97,8 +113,7 @@ TEST(Spectrum, MeanSpectrumAveragesNoiseDown) {
     for (double& v : sig) v += rng.gaussian(0.0, 1.0);
     noisy.push_back(std::move(sig));
   }
-  const auto avg = mean_spectrum(noisy, fs);
-  const auto single = amplitude_spectrum(noisy.front(), fs);
+  const auto avg = mean_spectrum_of(noisy, fs);
   // Tone preserved.
   EXPECT_NEAR(avg.amplitude[avg.bin_of(125.0)], 1.0, 0.15);
   // Averaged noise floor well below a tone amplitude.
@@ -110,12 +125,14 @@ TEST(Spectrum, MeanSpectrumAveragesNoiseDown) {
     ++floor_count;
   }
   EXPECT_LT(floor_sum / static_cast<double>(floor_count), 0.25);
-  (void)single;
 }
 
 TEST(Spectrum, MeanSpectrumRejectsRaggedInput) {
-  EXPECT_THROW(mean_spectrum({std::vector<double>(64, 0.0), std::vector<double>(32, 0.0)}, 1.0),
-               emts::precondition_error);
+  SpectrumAnalyzer analyzer;
+  analyzer.ensure_stream(64, 1.0);
+  analyzer.stream_push(std::vector<double>(64, 0.0));
+  EXPECT_THROW(analyzer.stream_push(std::vector<double>(32, 0.0)), emts::precondition_error);
+  EXPECT_EQ(analyzer.stream_count(), 1u);
 }
 
 TEST(FindPeaks, DetectsInjectedTonesInBinOrder) {
@@ -124,7 +141,7 @@ TEST(FindPeaks, DetectsInjectedTonesInBinOrder) {
   auto sig = tone(64.0, fs, n, 1.0);
   const auto t2 = tone(200.0, fs, n, 2.0);
   for (std::size_t i = 0; i < n; ++i) sig[i] += t2[i];
-  const auto spec = amplitude_spectrum(sig, fs);
+  const auto spec = spectrum_of(sig, fs);
   const auto peaks = find_peaks(spec, 0.2);
   ASSERT_GE(peaks.size(), 2u);
   // Bin-ordered: the 64 Hz tone comes first even though 200 Hz is stronger.
@@ -137,7 +154,7 @@ TEST(FindPeaks, RespectsMaxPeaks) {
   emts::Rng rng{77};
   std::vector<double> sig(1024);
   for (double& v : sig) v = rng.gaussian();
-  const auto spec = amplitude_spectrum(sig, 1000.0);
+  const auto spec = spectrum_of(sig, 1000.0);
   const auto peaks = find_peaks(spec, 0.0, 5);
   EXPECT_LE(peaks.size(), 5u);
   for (std::size_t i = 1; i < peaks.size(); ++i) EXPECT_LT(peaks[i - 1].bin, peaks[i].bin);
@@ -158,7 +175,7 @@ TEST(FindPeaks, TruncationKeepsTheStrongestPeaks) {
   const auto carrier = tone(480.0, fs, n, 3.0);
   for (std::size_t i = 0; i < n; ++i) sig[i] += carrier[i];
 
-  const auto spec = amplitude_spectrum(sig, fs);
+  const auto spec = spectrum_of(sig, fs);
   const auto peaks = find_peaks(spec, 0.1, 4);
   ASSERT_EQ(peaks.size(), 4u);
   // The strong high-band carrier must be among the survivors...
@@ -185,7 +202,7 @@ TEST(FindPeaks, IntoVariantMatchesAndReusesItsBuffer) {
   auto sig = tone(64.0, fs, 2048, 1.0);
   const auto t2 = tone(200.0, fs, 2048, 2.0);
   for (std::size_t i = 0; i < sig.size(); ++i) sig[i] += t2[i];
-  const auto spec = amplitude_spectrum(sig, fs);
+  const auto spec = spectrum_of(sig, fs);
 
   const auto copied = find_peaks(spec, 0.2);
   std::vector<SpectralPeak> reused;
@@ -201,29 +218,57 @@ TEST(FindPeaks, IntoVariantMatchesAndReusesItsBuffer) {
   EXPECT_EQ(reused.size(), copied.size());
 }
 
-// The analyzer's cached window/plan/buffers must not move any output by a
-// single bit relative to the one-shot helpers — the monitor's scores depend
-// on it.
-TEST(SpectrumAnalyzer, AnalyzeMatchesAmplitudeSpectrumBitwise) {
+// The analyzer's real-split transform against the full-size reference, on
+// every pass of a reused analyzer; analyze() and a one-push streamed mean are
+// the same transform, so they agree bitwise.
+TEST(SpectrumAnalyzer, AnalyzeMatchesFullFftReference) {
   emts::Rng rng{88};
   std::vector<double> sig(1000);  // non-power-of-two: exercises padding
   for (double& v : sig) v = rng.gaussian();
+  const Spectrum reference = test_support::reference_spectrum(sig, 1000.0);
+  const double peak = test_support::peak_amplitude(reference);
 
   SpectrumAnalyzer analyzer;
   for (int pass = 0; pass < 3; ++pass) {
     const Spectrum& cached = analyzer.analyze(sig, 1000.0);
-    const Spectrum copied = amplitude_spectrum(sig, 1000.0);
-    ASSERT_EQ(cached.size(), copied.size());
-    for (std::size_t k = 0; k < copied.size(); ++k) {
-      EXPECT_EQ(cached.amplitude[k], copied.amplitude[k]) << "pass " << pass << " bin " << k;
-      EXPECT_EQ(cached.frequency[k], copied.frequency[k]) << "pass " << pass << " bin " << k;
+    ASSERT_EQ(cached.size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_NEAR(cached.amplitude[k], reference.amplitude[k], 1e-12 * peak)
+          << "pass " << pass << " bin " << k;
+      EXPECT_EQ(cached.frequency[k], reference.frequency[k]) << "pass " << pass << " bin " << k;
     }
   }
   EXPECT_EQ(analyzer.warmups(), 1u);  // same shape throughout: one cache build
+
+  const std::vector<double> analyzed = analyzer.analyze(sig, 1000.0).amplitude;
+  analyzer.ensure_stream(sig.size(), 1000.0);
+  analyzer.stream_push(sig);
+  EXPECT_EQ(analyzer.stream_mean().amplitude, analyzed);
 }
 
-// The streamed mean path runs one half-size real-split FFT per trace, so it
-// matches mean_spectrum to floating-point rounding rather than bitwise.
+// The smallest shapes: one sample is its own one-bin transform, two samples
+// untangle a 1-point FFT and three (padded to four) a 2-point one. All match
+// the full-size reference.
+TEST(SpectrumAnalyzer, TinySignalsMatchFullFftReference) {
+  SpectrumOptions options;
+  options.window = WindowKind::kRectangular;
+  options.remove_mean = false;
+  const std::vector<std::vector<double>> signals = {{-3.0}, {1.5, -0.5}, {2.0, 1.0, -4.0}};
+  for (const auto& sig : signals) {
+    const Spectrum reference = test_support::reference_spectrum(sig, 10.0, options);
+    const Spectrum analyzed = spectrum_of(sig, 10.0, options);
+    ASSERT_EQ(analyzed.size(), reference.size()) << "length " << sig.size();
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_NEAR(analyzed.amplitude[k], reference.amplitude[k], 1e-12)
+          << "length " << sig.size() << " bin " << k;
+      EXPECT_EQ(analyzed.frequency[k], reference.frequency[k]);
+    }
+  }
+  EXPECT_EQ(spectrum_of({-3.0}, 10.0, options).amplitude, std::vector<double>{3.0});
+}
+
+// The streamed mean runs one half-size real-split FFT per trace, so it
+// matches the full-size reference mean to floating-point rounding.
 TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
   emts::Rng rng{89};
   std::vector<std::vector<double>> signals;
@@ -232,20 +277,19 @@ TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
     for (double& v : sig) v += rng.gaussian(0.0, 0.5);
     signals.push_back(std::move(sig));
   }
-  const Spectrum copied = mean_spectrum(signals, 1000.0);
+  const Spectrum reference = test_support::reference_mean_spectrum(signals, 1000.0);
 
   SpectrumAnalyzer analyzer;
   analyzer.ensure_stream(512, 1000.0);
   for (const auto& sig : signals) analyzer.stream_push(sig);
   const Spectrum& streamed = analyzer.stream_mean();
 
-  ASSERT_EQ(streamed.size(), copied.size());
-  double peak = 0.0;
-  for (double a : copied.amplitude) peak = std::max(peak, a);
-  for (std::size_t k = 0; k < copied.size(); ++k) {
+  ASSERT_EQ(streamed.size(), reference.size());
+  const double peak = test_support::peak_amplitude(reference);
+  for (std::size_t k = 0; k < reference.size(); ++k) {
     // Tight absolute bound relative to the spectrum's scale: the real-split
     // and full transforms differ only by rounding inside the butterflies.
-    EXPECT_NEAR(streamed.amplitude[k], copied.amplitude[k], 1e-12 * peak) << "bin " << k;
+    EXPECT_NEAR(streamed.amplitude[k], reference.amplitude[k], 1e-12 * peak) << "bin " << k;
   }
 
   // A second streamed pass after a reset reproduces itself exactly.
@@ -318,7 +362,7 @@ TEST(SpectrumAnalyzer, RewarmsOnShapeChangeOnly) {
 }
 
 TEST(FindPeaks, EmptyWhenThresholdAboveEverything) {
-  const auto spec = amplitude_spectrum(tone(64.0, 1024.0, 1024, 1.0), 1024.0);
+  const auto spec = spectrum_of(tone(64.0, 1024.0, 1024, 1.0), 1024.0);
   EXPECT_TRUE(find_peaks(spec, 100.0).empty());
 }
 

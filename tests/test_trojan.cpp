@@ -115,7 +115,8 @@ TEST(T1, ActiveCurrentCarriesA750kHzTone) {
   const auto ctx = make_context(0);
   power::CurrentTrace trace{ctx.clock, ctx.num_cycles};
   t1->contribute(ctx, trace);
-  const auto spec = dsp::amplitude_spectrum(trace.samples(), ctx.clock.sample_rate());
+  dsp::SpectrumAnalyzer analyzer;
+  const dsp::Spectrum& spec = analyzer.analyze(trace.samples(), ctx.clock.sample_rate());
   // The 750 kHz bin (and its OOK sidebands) must dominate everything below
   // 10 MHz by a wide margin.
   const std::size_t carrier_bin = spec.bin_of(750e3);
