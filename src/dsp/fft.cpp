@@ -48,16 +48,31 @@ void FftPlan::forward(std::vector<cplx>& data) const {
   for (std::size_t i = 1; i < n_; ++i) {
     if (i < reverse_[i]) std::swap(data[i], data[reverse_[i]]);
   }
+  // Plain doubles on purpose (see fft.hpp). v = hi·w is formed in the order
+  // std::complex uses, so finite input gives the complex loop's bits. The
+  // standard lets an array of std::complex<double> be read as doubles:
+  // element j's real part is d[2j], its imaginary part d[2j + 1].
+  double* const d = reinterpret_cast<double*>(data.data());
   std::size_t offset = 0;
   for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const cplx* w = twiddles_.data() + offset;
+    const double* w = reinterpret_cast<const double*>(twiddles_.data() + offset);
     const std::size_t half = len / 2;
     for (std::size_t i = 0; i < n_; i += len) {
+      double* lo = d + 2 * i;
+      double* hi = lo + 2 * half;
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + half] * w[k];
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
+        const double wr = w[2 * k];
+        const double wi = w[2 * k + 1];
+        const double br = hi[2 * k];
+        const double bi = hi[2 * k + 1];
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ur = lo[2 * k];
+        const double ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
       }
     }
     offset += half;

@@ -27,6 +27,17 @@ class FftPlan {
   std::size_t size() const { return n_; }
 
   /// In-place forward transform; requires data.size() == size().
+  ///
+  /// The butterfly is written in plain doubles on purpose, not as a
+  /// std::complex product: GCC compiles that product into a NaN-recovery
+  /// branch to __muldc3 and spills it through the stack, which stalls store
+  /// forwarding on every butterfly. Keep it that way.
+  ///
+  /// Contract: for finite input the output equals the textbook radix-2 loop
+  /// in std::complex arithmetic bit for bit. Infinite input loses C Annex G's
+  /// infinity recovery and yields NaN where std::complex might yield ±inf;
+  /// at runtime RuntimeMonitor::admit_trace keeps non-finite captures away
+  /// from the transform.
   void forward(std::vector<cplx>& data) const;
 
  private:

@@ -11,6 +11,7 @@ namespace emts::dsp {
 
 std::size_t Spectrum::bin_of(double f) const {
   EMTS_REQUIRE(!frequency.empty(), "bin_of on an empty spectrum");
+  EMTS_REQUIRE(std::isfinite(f), "bin_of: frequency must be finite");
   if (f <= frequency.front()) return 0;
   if (f >= frequency.back()) return frequency.size() - 1;
   const double width = bin_width();
@@ -113,8 +114,8 @@ void SpectrumAnalyzer::transform(const std::vector<double>& signal) {
   plan_.forward(data_);
 
   for (std::size_t k = 0; k <= half; ++k) {
-    const std::size_t kk = k % half;            // k = half wraps to bin 0
-    const std::size_t mm = (half - k) % half;   // mirror bin; k=0 -> 0
+    const std::size_t kk = k == half ? 0 : k;      // k = half wraps to bin 0
+    const std::size_t mm = k == 0 ? 0 : half - k;  // mirror bin; k=0 -> 0
     const double zr = data_[kk].real();
     const double zi = data_[kk].imag();
     const double mr = data_[mm].real();

@@ -18,9 +18,11 @@ double Spectrogram::bin_frequency(std::size_t bin) const {
 
 std::size_t Spectrogram::bin_of(double frequency_hz) const {
   EMTS_REQUIRE(bins() > 0, "empty spectrogram");
+  EMTS_REQUIRE(std::isfinite(frequency_hz), "bin_of: frequency must be finite");
   const double width = sample_rate / static_cast<double>(window_length);
-  const auto idx = static_cast<std::size_t>(std::max(0.0, std::round(frequency_hz / width)));
-  return std::min(idx, bins() - 1);
+  // Clamp while still a double: casting an out-of-range double is undefined.
+  const double last = static_cast<double>(bins() - 1);
+  return static_cast<std::size_t>(std::clamp(std::round(frequency_hz / width), 0.0, last));
 }
 
 double Spectrogram::band_power(std::size_t frame, double f_lo, double f_hi) const {

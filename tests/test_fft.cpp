@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -135,6 +138,72 @@ TEST(FftPlan, RejectsBadSizes) {
   const FftPlan plan{8};
   std::vector<cplx> wrong(4);
   EXPECT_THROW(plan.forward(wrong), emts::precondition_error);
+}
+
+// The textbook radix-2 loop in std::complex arithmetic: its own bit
+// reversal, and per stage a twiddle that starts at 1 and steps w *= wlen.
+// FftPlan::forward must reproduce it bit for bit on finite input. Each
+// stage's twiddles are stepped out before its butterflies run, as the plan
+// steps out its table, and the function stays out of line: inlined into the
+// test body, GCC contracts its products into FMA differently from fft.cpp
+// on targets that have FMA (-march=x86-64-v3).
+[[gnu::noinline]] void complex_reference_fft(std::vector<cplx>& data) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  std::vector<cplx> w;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = -2.0 * units::pi / static_cast<double>(len);
+    const cplx wlen{std::cos(angle), std::sin(angle)};
+    w.clear();
+    cplx step{1.0, 0.0};
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      w.push_back(step);
+      step *= wlen;
+    }
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cplx u = data[i + k];
+        const cplx v = data[i + k + len / 2] * w[k];
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+      }
+    }
+  }
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(FftPlan, ForwardMatchesComplexReferenceBitwise) {
+  emts::Rng rng{0xF17};
+  // Random sign and a magnitude spread log-uniformly over 1e-200..1e200.
+  const auto draw = [&rng] {
+    const double magnitude = std::pow(10.0, rng.uniform(-200.0, 200.0));
+    return rng.coin() ? magnitude : -magnitude;
+  };
+  for (std::size_t n = 1; n <= 8192; n <<= 1) {
+    std::vector<cplx> expected(n);
+    for (auto& x : expected) x = cplx{draw(), draw()};
+    auto actual = expected;
+    complex_reference_fft(expected);
+    FftPlan{n}.forward(actual);
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (bits_of(actual[k].real()) != bits_of(expected[k].real()) ||
+          bits_of(actual[k].imag()) != bits_of(expected[k].imag())) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "n = " << n;
+  }
 }
 
 TEST(FftPlan, IsReusableAcrossTransforms) {

@@ -90,6 +90,15 @@ TEST(Spectrum, BinOfClampsOutOfRange) {
   const auto spec = spectrum_of(tone(10.0, 1000.0, 256, 1.0), 1000.0);
   EXPECT_EQ(spec.bin_of(-5.0), 0u);
   EXPECT_EQ(spec.bin_of(1e9), spec.size() - 1);
+  EXPECT_EQ(spec.bin_of(1e300), spec.size() - 1);
+}
+
+TEST(Spectrum, BinOfRejectsNonFiniteFrequency) {
+  const auto spec = spectrum_of(tone(10.0, 1000.0, 256, 1.0), 1000.0);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.bin_of(std::numeric_limits<double>::quiet_NaN()), emts::precondition_error);
+  EXPECT_THROW(spec.bin_of(inf), emts::precondition_error);
+  EXPECT_THROW(spec.bin_of(-inf), emts::precondition_error);
 }
 
 TEST(Spectrum, TwoTonesBothVisible) {

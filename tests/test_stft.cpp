@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -84,6 +85,24 @@ TEST(Stft, RejectsBadOptions) {
   bad.hop = 0;
   EXPECT_THROW(stft(sig, 1e6, bad), emts::precondition_error);
   EXPECT_THROW(stft(std::vector<double>(16, 0.0), 1e6), emts::precondition_error);
+}
+
+TEST(Stft, BinOfClampsOutOfRange) {
+  const auto spec = stft(std::vector<double>(4096, 1.0), 1e6);
+  EXPECT_EQ(spec.bin_of(-5.0), 0u);
+  EXPECT_EQ(spec.bin_of(-1e300), 0u);
+  EXPECT_EQ(spec.bin_of(1e300), spec.bins() - 1);
+}
+
+TEST(Stft, BinOfRejectsNonFiniteFrequency) {
+  const auto spec = stft(std::vector<double>(4096, 1.0), 1e6);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(spec.bin_of(nan), emts::precondition_error);
+  EXPECT_THROW(spec.bin_of(inf), emts::precondition_error);
+  EXPECT_THROW(spec.bin_of(-inf), emts::precondition_error);
+  // A band edge reaches bin_of unchecked through find_band_activation.
+  EXPECT_THROW(find_band_activation(spec, 0.0, inf), emts::precondition_error);
 }
 
 TEST(Stft, BandPowerValidatesArguments) {
