@@ -6,7 +6,7 @@
 // Localizer matches against the sensitivity matrix.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "array/calibration.hpp"
@@ -18,31 +18,10 @@ namespace emts::array {
 
 class ArrayMonitor {
  public:
-  struct Options {
-    /// Per-sensor session options (calibration_traces is irrelevant —
-    /// sessions cold-start monitoring from the fitted artifacts).
-    core::RuntimeMonitor::Options session{};
-    /// Consecutive spectral-anomalous windowed passes on one coil that latch
-    /// the array alarm. RuntimeMonitor's own debounce counts *pushes*, so a
-    /// spectral-only offender (A2's triggering tone) that is quiet in the
-    /// per-trace distance never accumulates a push run; the array layer
-    /// debounces windowed passes instead, where such a Trojan is persistent.
-    std::size_t spectral_debounce = 2;
-    /// Minimum strongest-anomaly ratio for a windowed pass to count toward
-    /// the spectral latch. At micro-coil SNR the golden stream occasionally
-    /// reports a "new" spot whose amplitude merely *matches* calibration
-    /// (ratio ~1 — a local-max flicker at the detection gate); a real
-    /// injected tone amplifies the bin well past it. Measured margins on the
-    /// default config: golden flickers <= ~1.1, A2's tone >= ~2.5 on the
-    /// quietest coupled coil.
-    double spectral_ratio_gate = 1.5;
-  };
-
   /// Builds one pre-fitted session per coil from the calibration (which must
-  /// match the grid's sensor count).
+  /// match the grid's sensor count). Sessions run the default monitor
+  /// options and cold-start monitoring from the fitted artifacts.
   ArrayMonitor(const SensorGrid& grid, const ArrayCalibration& calibration);
-  ArrayMonitor(const SensorGrid& grid, const ArrayCalibration& calibration,
-               const Options& options);
 
   const SensorGrid& grid() const { return grid_; }
   std::size_t sensor_count() const { return sessions_.size(); }
@@ -56,12 +35,9 @@ class ArrayMonitor {
   /// Feeds a whole batch bundle-by-bundle (window order preserved).
   core::MonitorState push_bundles(const BundleSet& bundles);
 
-  /// Any session latched in alarm, or any coil's spectral latch set (see
-  /// Options::spectral_debounce).
+  /// Any session latched in alarm (each session latches A2's spectral
+  /// signature itself; see core/monitor.hpp).
   bool any_alarm() const;
-
-  /// Whether sensor `sensor`'s spectral latch is set.
-  bool spectral_alarmed(std::size_t sensor) const;
 
   /// Per-sensor session states, grid row-major.
   std::vector<core::MonitorState> states() const;
@@ -80,21 +56,15 @@ class ArrayMonitor {
   void reset_anomaly_window();
 
   /// Operator action after the paper's "further investigations": clears
-  /// every latched session alarm and spectral latch, and resets the
-  /// localization window.
+  /// every latched session alarm and resets the localization window.
   void acknowledge_alarms();
 
  private:
   const SensorGrid& grid_;
-  Options options_;
   std::vector<core::RuntimeMonitor> sessions_;
   std::vector<core::Trace> golden_means_;
   std::vector<double> baselines_;
   std::vector<double> residual_sums_;
-  // Spectral persistence per coil: consecutive anomalous windowed passes and
-  // the latched flag once the run reaches spectral_debounce.
-  std::vector<std::size_t> spectral_runs_;
-  std::vector<bool> spectral_latched_;
   std::size_t bundles_seen_ = 0;
 };
 

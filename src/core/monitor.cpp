@@ -224,6 +224,9 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     // into the running window sum; the boundary pass below is then O(bins).
     spectral_->stream_observe(trace, sample_rate_, *spectral_scratch_);
   }
+  // The previous pass's report is the windowed run's only state: read it
+  // before this pass overwrites it.
+  const bool previous_window_anomalous = last_spectral_ && last_spectral_->anomalous();
   const bool windowed_anomaly =
       window_count_ >= options_.spectral_window && run_windowed_pass();
 
@@ -233,8 +236,10 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     consecutive_anomalies_ = 0;
   }
 
+  // The push run, or the windowed run (see the header).
   if (state_ == MonitorState::kMonitoring &&
-      consecutive_anomalies_ >= options_.alarm_debounce) {
+      (consecutive_anomalies_ >= options_.alarm_debounce ||
+       (windowed_anomaly && previous_window_anomalous))) {
     state_ = MonitorState::kAlarm;
     ++stats_.alarms_latched;
     alarm_latched_at_ = traces_seen_;

@@ -7,6 +7,16 @@
 // in the paper's sense: evaluation happens while the system operates, not
 // instantaneously per trace.
 //
+// Two latch rules, one alarm:
+//   * push run — alarm_debounce consecutive anomalous pushes (a per-trace
+//     exceedance, or the push that closes an anomalous window);
+//   * windowed run — two consecutive anomalous spectral windows. Windows
+//     tumble, so a spectral-only Trojan (the paper's A2, caught only in the
+//     frequency domain) adds one push to the push run per window and never
+//     reaches alarm_debounce; it persists across windows instead.
+// The previous window's report (last_spectral()) is the windowed run's only
+// state, so export_state()/restore_state() already carry the run.
+//
 // The hot path is streaming-grade: per-trace detectors score through
 // reusable ScoreScratch buffers and the spectral pass runs through a cached
 // SpectrumAnalyzer — after one warm-up window, a push performs zero heap
@@ -114,8 +124,11 @@ class RuntimeMonitor {
  public:
   struct Options {
     std::size_t calibration_traces = 64;
-    // Consecutive anomalous captures required to latch the alarm: debounces
-    // the occasional golden capture beyond EDth.
+    // Consecutive anomalous captures required to latch the alarm (the push
+    // run): debounces the occasional golden capture beyond EDth. The
+    // windowed run needs two consecutive anomalous windows, independent of
+    // this value: a 32-capture burst holds at most two full 16-capture
+    // windows.
     std::size_t alarm_debounce = 3;
     // Re-run the windowed (spectral) checks every this many monitored
     // captures, over the most recent window of traces.

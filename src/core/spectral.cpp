@@ -101,7 +101,9 @@ void SpectralDetector::match_peaks(const std::vector<dsp::SpectralPeak>& peaks,
       anomaly.golden_amplitude = golden_.amplitude[peak.bin];
       anomaly.suspect_amplitude = peak.amplitude;
       anomaly.ratio = peak.amplitude / std::max(anomaly.golden_amplitude, noise_floor_);
-      report.anomalies.push_back(anomaly);
+      // The same rule as an amplified spot: a new spot must also grow past
+      // amplification_ratio over what the golden spectrum has at its bin.
+      if (anomaly.ratio > options_.amplification_ratio) report.anomalies.push_back(anomaly);
     } else if (peak.amplitude > options_.amplification_ratio * match->amplitude) {
       SpectralAnomaly anomaly;
       anomaly.kind = SpectralAnomalyKind::kAmplifiedSpot;

@@ -9,8 +9,13 @@
 // Calibration records the golden mean spectrum and its significant spots.
 // Analysis of suspect traces reports two anomaly kinds, exactly the paper's
 // T = g / T != g case split:
-//   kNewSpot        — a peak at a frequency the golden spectrum is quiet at;
+//   kNewSpot        — a peak at a frequency with no golden spot;
 //   kAmplifiedSpot  — a known spot whose magnitude grew beyond tolerance.
+// Both obey one growth rule: the suspect amplitude must exceed
+// amplification_ratio x the golden amplitude (for a new spot, the golden
+// spectrum at its bin, floored at the golden noise floor). A peak that only
+// matches what calibration already saw there (a local-max flicker at the
+// detection gate) is not a spot.
 //
 // Registered in the DetectorRegistry as "spectral". As a Detector it is
 // *windowed*: its natural grain is a whole capture window (mean spectrum),
@@ -54,7 +59,8 @@ class SpectralDetector : public Detector {
     double noise_floor_factor = 6.0;
     // New spots must also clear this factor over the golden noise floor.
     double new_spot_factor = 6.0;
-    // Known spots flag as amplified beyond this ratio.
+    // Known spots flag as amplified beyond this ratio; new spots must also
+    // exceed it over the golden amplitude at their bin.
     double amplification_ratio = 1.6;
     // Frequency tolerance (in bins) when matching suspect peaks to golden
     // spots.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
@@ -146,6 +147,7 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   const std::uint8_t has_score = util::read_u8(in);
   EMTS_REQUIRE(has_score <= 1, "monitor state: bad last-score flag");
   const double last_score = util::read_f64(in);
+  EMTS_REQUIRE(std::isfinite(last_score), "monitor state: non-finite last score");
   if (has_score == 1) image.last_score = last_score;
 
   const std::uint8_t has_spectral = util::read_u8(in);
@@ -171,6 +173,15 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
       anomaly.golden_amplitude = util::read_f64(in);
       anomaly.suspect_amplitude = util::read_f64(in);
       anomaly.ratio = util::read_f64(in);
+      // The report is verdict state (the windowed latch reads it), so it
+      // must be one match_peaks could have produced: finite, non-negative,
+      // strongest first.
+      for (const double v : {anomaly.frequency_hz, anomaly.golden_amplitude,
+                             anomaly.suspect_amplitude, anomaly.ratio}) {
+        EMTS_REQUIRE(std::isfinite(v) && v >= 0.0, "monitor state: bad spectral anomaly value");
+      }
+      EMTS_REQUIRE(report.anomalies.empty() || report.anomalies.back().ratio >= anomaly.ratio,
+                   "monitor state: spectral anomalies not sorted strongest first");
       report.anomalies.push_back(anomaly);
     }
     image.last_spectral = std::move(report);

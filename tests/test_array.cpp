@@ -222,7 +222,6 @@ TEST(ArrayMonitor, GoldenStreamNeverAlarmsOver64Windows) {
   EXPECT_FALSE(monitor.any_alarm());
   for (std::size_t s = 0; s < monitor.sensor_count(); ++s) {
     EXPECT_NE(monitor.session(s).state(), core::MonitorState::kAlarm) << "coil " << s;
-    EXPECT_FALSE(monitor.spectral_alarmed(s)) << "coil " << s;
   }
 }
 

@@ -224,6 +224,43 @@ TEST(SpectralDetector, WeakToneBelowFloorIgnored) {
   EXPECT_FALSE(det.analyze(suspect).anomalous());
 }
 
+// A new spot obeys the amplified-spot rule: it is reported only when it grows
+// past amplification_ratio over the golden amplitude at its bin. Here the
+// golden stream carries a faint 72 MHz tone, too weak to be a golden spot.
+TEST(SpectralDetector, NewSpotWithinAmplificationRatioOfGoldenIgnored) {
+  constexpr double kFaint = 0.015;
+  emts::Rng rng{11};
+  TraceSet golden;
+  golden.sample_rate = kFs;
+  for (int i = 0; i < 16; ++i) golden.add(infected_trace(rng, kFaint, 72e6));
+  const auto det = SpectralDetector::calibrate(golden);
+  const std::size_t bin = det.golden_spectrum().bin_of(72e6);
+  for (const auto& spot : det.golden_spots()) {
+    ASSERT_GT(spot.bin > bin ? spot.bin - bin : bin - spot.bin, det.options().match_bins);
+  }
+  const double golden_amplitude = det.golden_spectrum().amplitude[bin];
+  ASSERT_GT(golden_amplitude, det.golden_noise_floor());
+
+  const auto analyze_tone = [&](double amp) {
+    TraceSet suspect;
+    suspect.sample_rate = kFs;
+    for (int i = 0; i < 8; ++i) suspect.add(infected_trace(rng, amp, 72e6));
+    return det.analyze(suspect);
+  };
+  // Grown 1.5x: a peak above the new-spot floor, within 1.6x of golden.
+  const double floor_gate = det.options().new_spot_factor * det.golden_noise_floor();
+  ASSERT_GT(1.5 * kFaint, floor_gate);
+  ASSERT_LT(1.5 * kFaint, det.options().amplification_ratio * golden_amplitude);
+  EXPECT_FALSE(analyze_tone(1.5 * kFaint).anomalous());
+
+  // Grown 3x, the same tone is a new spot.
+  const SpectralReport grown = analyze_tone(3.0 * kFaint);
+  ASSERT_TRUE(grown.anomalous());
+  EXPECT_EQ(grown.anomalies.front().kind, SpectralAnomalyKind::kNewSpot);
+  EXPECT_NEAR(grown.anomalies.front().frequency_hz, 72e6, 1e6);
+  EXPECT_GT(grown.anomalies.front().ratio, det.options().amplification_ratio);
+}
+
 TEST(SpectralDetector, AnomaliesSortedByRatio) {
   const auto det = SpectralDetector::calibrate(golden_set(16));
   emts::Rng rng{9};

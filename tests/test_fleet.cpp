@@ -40,6 +40,16 @@ core::Trace infected_trace(emts::Rng& rng) {
   return t;
 }
 
+// A2-style capture: only a fast tone, which the preprocessor's 16-sample
+// mean pooling cancels, so only the windowed spectral stage sees it.
+core::Trace a2_trace(emts::Rng& rng) {
+  core::Trace t = golden_trace(rng);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    t[i] += 0.6 * std::sin(2.0 * units::pi * 72e6 * static_cast<double>(i) / kFs);
+  }
+  return t;
+}
+
 core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
   emts::Rng rng{seed};
   core::TraceSet set;
@@ -207,6 +217,53 @@ TEST(FleetMonitor, PerDeviceResultsMatchStandaloneBitIdentically) {
   expect_per_device_results_match_standalone(BackpressurePolicy::kBlock, 8);
   expect_per_device_results_match_standalone(BackpressurePolicy::kDropOldest, 128);
   expect_per_device_results_match_standalone(BackpressurePolicy::kReject, 128);
+}
+
+// A spectral-only Trojan latches through the windowed run (two consecutive
+// anomalous windows) on a fleet-hosted session exactly as on a standalone
+// monitor.
+TEST(FleetMonitor, SpectralOnlyDeviceLatchesLikeStandalone) {
+  const core::RuntimeMonitor::Options mon = small_options();
+  FleetOptions opt;
+  opt.shards = 2;
+  opt.monitor = mon;
+  FleetMonitor fleet{opt};
+  fleet.add_device("chip-a2", core::TrustEvaluator{fitted()});
+  core::RuntimeMonitor standalone{kFs, core::TrustEvaluator{fitted()}, mon};
+
+  emts::Rng rng{300};
+  for (std::size_t t = 0; t < 3 * mon.spectral_window; ++t) {
+    core::Trace trace = t < mon.spectral_window ? golden_trace(rng) : a2_trace(rng);
+    standalone.push(trace);
+    EXPECT_EQ(fleet.submit("chip-a2", std::move(trace)), SubmitResult::kAccepted);
+  }
+  fleet.flush();
+  ASSERT_EQ(standalone.state(), core::MonitorState::kAlarm);
+
+  const FleetStats stats = fleet.stats();
+  ASSERT_EQ(stats.sessions.size(), 1u);
+  const SessionStats& session = stats.sessions[0];
+  EXPECT_EQ(stats.devices_alarm, 1u);
+  EXPECT_EQ(session.state, core::MonitorState::kAlarm);
+  EXPECT_EQ(session.last_score, standalone.last_score());
+  const core::MonitorStats& expect = standalone.stats();
+  EXPECT_EQ(session.monitor.per_trace_anomalies, 0u);
+  EXPECT_EQ(session.monitor.per_trace_anomalies, expect.per_trace_anomalies);
+  EXPECT_EQ(session.monitor.spectral_passes, expect.spectral_passes);
+  EXPECT_EQ(session.monitor.windowed_anomalies, expect.windowed_anomalies);
+  EXPECT_EQ(session.monitor.alarms_latched, 1u);
+
+  const std::vector<core::MonitorEvent> want = standalone.drain_events();
+  const std::vector<FleetEvent> got = fleet.drain_events();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].event.kind, want[i].kind);
+    EXPECT_EQ(got[i].event.trace_index, want[i].trace_index);
+    EXPECT_EQ(got[i].event.value, want[i].value);
+  }
+  // The second anomalous window's closing push latches.
+  EXPECT_EQ(want.back().kind, core::MonitorEventKind::kAlarmLatched);
+  EXPECT_EQ(want.back().trace_index, 3 * mon.spectral_window);
 }
 
 // ---------- backpressure (deterministic via pause()) ----------

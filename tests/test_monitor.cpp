@@ -43,6 +43,18 @@ Trace infected_trace(emts::Rng& rng) {
   return t;
 }
 
+// A2-style capture: the Trojan adds only a fast tone. At 72 MHz it spans
+// exactly three cycles per 16-sample pooling block, so the preprocessor's
+// mean pooling cancels it and the per-trace distance cannot see it; only the
+// windowed spectral stage can.
+Trace a2_trace(emts::Rng& rng) {
+  Trace t = golden_trace(rng);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    t[i] += 0.6 * std::sin(2.0 * units::pi * 72e6 * static_cast<double>(i) / kFs);
+  }
+  return t;
+}
+
 RuntimeMonitor::Options small_options() {
   RuntimeMonitor::Options opt;
   opt.calibration_traces = 16;
@@ -240,6 +252,70 @@ TEST(RuntimeMonitor, PreFittedAlarmsOnInfectedStream) {
     monitor.push(infected_trace(rng));
   }
   EXPECT_EQ(monitor.state(), MonitorState::kAlarm);
+}
+
+// A spectral-only Trojan never builds a run of anomalous pushes: a windowed
+// anomaly counts for the one push that closes the window. Two consecutive
+// anomalous windows latch instead.
+TEST(RuntimeMonitor, PreFittedLatchesSpectralOnlyTrojanOnSecondAnomalousWindow) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 40));
+  const RuntimeMonitor::Options opt = small_options();
+  RuntimeMonitor monitor{kFs, evaluator, opt};
+  std::vector<TrustReport> alarms;
+  monitor.on_alarm([&](const TrustReport& report) { alarms.push_back(report); });
+  emts::Rng rng{41};
+  for (std::size_t i = 0; i < 2 * opt.spectral_window; ++i) monitor.push(golden_trace(rng));
+  ASSERT_EQ(monitor.stats().windowed_anomalies, 0u);
+
+  for (std::size_t i = 0; i < opt.spectral_window; ++i) monitor.push(a2_trace(rng));
+  EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
+  EXPECT_EQ(monitor.stats().windowed_anomalies, 1u);
+  for (std::size_t i = 0; i + 1 < opt.spectral_window; ++i) {
+    EXPECT_EQ(monitor.push(a2_trace(rng)), MonitorState::kMonitoring) << "push " << i;
+  }
+  EXPECT_EQ(monitor.push(a2_trace(rng)), MonitorState::kAlarm);
+
+  const MonitorStats& stats = monitor.stats();
+  EXPECT_EQ(stats.per_trace_anomalies, 0u);  // invisible to the distance
+  EXPECT_EQ(stats.windowed_anomalies, 2u);
+  EXPECT_EQ(stats.alarms_latched, 1u);
+  EXPECT_EQ(monitor.export_state().alarm_latched_at, 4 * opt.spectral_window);
+
+  // The alarm report carries the spectral evidence: a new spot at the tone.
+  ASSERT_EQ(alarms.size(), 1u);
+  EXPECT_EQ(alarms[0].verdict, Verdict::kCompromised);
+  ASSERT_TRUE(alarms[0].spectral.anomalous());
+  const SpectralAnomaly& strongest = alarms[0].spectral.anomalies.front();
+  EXPECT_EQ(strongest.kind, SpectralAnomalyKind::kNewSpot);
+  EXPECT_NEAR(strongest.frequency_hz, 72e6, 1e6);
+}
+
+// The windowed run needs *consecutive* anomalous windows: a clean window in
+// between resets it.
+TEST(RuntimeMonitor, CleanWindowBreaksTheWindowedRun) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 42));
+  const RuntimeMonitor::Options opt = small_options();
+  RuntimeMonitor monitor{kFs, evaluator, opt};
+  emts::Rng rng{43};
+  for (int burst = 0; burst < 3; ++burst) {
+    for (std::size_t i = 0; i < opt.spectral_window; ++i) monitor.push(a2_trace(rng));
+    for (std::size_t i = 0; i < opt.spectral_window; ++i) monitor.push(golden_trace(rng));
+  }
+  EXPECT_EQ(monitor.stats().windowed_anomalies, 3u);
+  EXPECT_EQ(monitor.stats().alarms_latched, 0u);
+  EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
+}
+
+TEST(RuntimeMonitor, GoldenStreamNeverLatchesOver64Windows) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 44));
+  const RuntimeMonitor::Options opt = small_options();
+  RuntimeMonitor monitor{kFs, evaluator, opt};
+  emts::Rng rng{45};
+  for (std::size_t i = 0; i < 64 * opt.spectral_window; ++i) {
+    ASSERT_EQ(monitor.push(golden_trace(rng)), MonitorState::kMonitoring) << "push " << i;
+  }
+  EXPECT_EQ(monitor.stats().spectral_passes, 64u);
+  EXPECT_EQ(monitor.stats().alarms_latched, 0u);
 }
 
 TEST(RuntimeMonitor, PreFittedRejectsSampleRateMismatch) {

@@ -52,6 +52,16 @@ core::Trace golden_trace(emts::Rng& rng) {
   return t;
 }
 
+// A2-style capture: only a fast tone, which the preprocessor's 16-sample
+// mean pooling cancels, so only the windowed spectral stage sees it.
+core::Trace a2_trace(emts::Rng& rng) {
+  core::Trace t = golden_trace(rng);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    t[i] += 0.6 * std::sin(2.0 * units::pi * 72e6 * static_cast<double>(i) / kFs);
+  }
+  return t;
+}
+
 core::TraceSet make_set(std::size_t n, std::uint64_t seed) {
   emts::Rng rng{seed};
   core::TraceSet set;
@@ -238,6 +248,65 @@ TEST_F(ServerTest, ScoresMatchDirectSubmission) {
   EXPECT_EQ(got.sessions[0].state, expect.sessions[0].state);
   EXPECT_EQ(got.sessions[0].last_score, expect.sessions[0].last_score);
   EXPECT_EQ(got.sessions[0].monitor.scored_captures, expect.sessions[0].monitor.scored_captures);
+}
+
+TEST_F(ServerTest, SpectralOnlyDeviceEndsInAlarm) {
+  // A spectral-only Trojan streamed through the daemon latches through the
+  // windowed run, exactly as on a directly fed fleet; its golden neighbour
+  // stays calm.
+  const std::size_t window = small_options().spectral_window;
+  emts::Rng rng{5};
+  core::TraceSet a2;
+  a2.sample_rate = kFs;
+  for (std::size_t t = 0; t < 4 * window; ++t) {
+    a2.add(t < window ? golden_trace(rng) : a2_trace(rng));
+  }
+  const core::TraceSet golden = make_set(4 * window, 6);
+
+  FleetMonitor direct{fleet_options()};
+  direct.add_device("chip-00", fitted());
+  direct.add_device("chip-a2", fitted());
+  for (const core::Trace& trace : golden.traces) direct.submit("chip-00", core::Trace{trace});
+  for (const core::Trace& trace : a2.traces) direct.submit("chip-a2", core::Trace{trace});
+  direct.flush();
+
+  FleetMonitor fleet{fleet_options()};
+  fleet.add_device("chip-00", fitted());
+  fleet.add_device("chip-a2", fitted());
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  IngestServer server{fleet, options};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> snapshot_request{false};
+  std::thread serve{[&] { server.run(stop, snapshot_request); }};
+
+  const int fd = connect_to(socket_path_);
+  const std::string bytes = encode_frames("chip-00", golden) + encode_frames("chip-a2", a2);
+  send_all(fd, bytes.data(), bytes.size());
+  ::close(fd);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fleet.stats().traces_processed < golden.size() + a2.size()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "ingest timed out";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop = true;
+  serve.join();
+
+  const FleetStats expect = direct.stats();
+  const FleetStats got = fleet.stats();
+  ASSERT_EQ(got.sessions.size(), 2u);
+  EXPECT_EQ(got.devices_alarm, 1u);
+  EXPECT_EQ(got.sessions[0].state, core::MonitorState::kMonitoring);
+  EXPECT_EQ(got.sessions[1].device_id, "chip-a2");
+  EXPECT_EQ(got.sessions[1].state, core::MonitorState::kAlarm);
+  EXPECT_EQ(got.sessions[1].monitor.per_trace_anomalies, 0u);
+  EXPECT_EQ(got.sessions[1].monitor.alarms_latched, 1u);
+  for (std::size_t s = 0; s < got.sessions.size(); ++s) {
+    EXPECT_EQ(got.sessions[s].state, expect.sessions[s].state);
+    EXPECT_EQ(got.sessions[s].last_score, expect.sessions[s].last_score);
+    EXPECT_EQ(got.sessions[s].monitor.windowed_anomalies,
+              expect.sessions[s].monitor.windowed_anomalies);
+  }
 }
 
 TEST_F(ServerTest, UnknownDeviceFramesAreRejectedNotFatal) {

@@ -49,6 +49,16 @@ core::Trace infected_trace(emts::Rng& rng) {
   return t;
 }
 
+// A2-style capture: only a fast tone, which the preprocessor's 16-sample
+// mean pooling cancels, so only the windowed spectral stage sees it.
+core::Trace a2_trace(emts::Rng& rng) {
+  core::Trace t = golden_trace(rng);
+  for (std::size_t i = 0; i < kLen; ++i) {
+    t[i] += 0.6 * std::sin(2.0 * units::pi * 72e6 * static_cast<double>(i) / kFs);
+  }
+  return t;
+}
+
 core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
   emts::Rng rng{seed};
   core::TraceSet set;
@@ -229,6 +239,53 @@ TEST(MonitorStateSerialization, StateSizeIsIndependentOfWindowFill) {
   EXPECT_EQ(serialized_size(), at_one);
 }
 
+// last_score and the last spectral report are verdict state: the windowed
+// latch reads the report. A record carrying values match_peaks could never
+// produce is refused, not restored.
+TEST(MonitorStateSerialization, RefusesBadScoreAndSpectralAnomalies) {
+  core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
+  monitor.push_batch(make_set(3, false, 52));
+  core::MonitorStateImage valid = monitor.export_state();
+  ASSERT_TRUE(valid.last_score.has_value());
+  core::SpectralAnomaly strong{core::SpectralAnomalyKind::kNewSpot, 72e6, 0.01, 0.6, 60.0};
+  core::SpectralAnomaly weak{core::SpectralAnomalyKind::kAmplifiedSpot, 48e6, 0.5, 0.9, 1.8};
+  valid.last_spectral = core::SpectralReport{{strong, weak}};
+
+  const auto reads = [](const core::MonitorStateImage& image) {
+    std::stringstream stream{std::ios::binary | std::ios::in | std::ios::out};
+    write_monitor_state(stream, image);
+    return read_monitor_state(stream);
+  };
+  expect_image_eq(valid, reads(valid));  // the control round-trips
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    core::MonitorStateImage image = valid;
+    image.last_score = bad;
+    EXPECT_THROW(reads(image), emts::precondition_error) << "last_score " << bad;
+  }
+  const std::vector<std::function<void(core::SpectralAnomaly&)>> corruptions = {
+      [&](auto& a) { a.frequency_hz = kNan; },     [&](auto& a) { a.frequency_hz = kInf; },
+      [&](auto& a) { a.frequency_hz = -1.0; },     [&](auto& a) { a.golden_amplitude = kNan; },
+      [&](auto& a) { a.golden_amplitude = -kInf; }, [&](auto& a) { a.golden_amplitude = -0.5; },
+      [&](auto& a) { a.suspect_amplitude = kInf; }, [&](auto& a) { a.suspect_amplitude = -0.5; },
+      [&](auto& a) { a.ratio = kNan; },            [&](auto& a) { a.ratio = kInf; },
+      [&](auto& a) { a.ratio = -2.0; },
+  };
+  for (std::size_t c = 0; c < corruptions.size(); ++c) {
+    for (std::size_t at = 0; at < valid.last_spectral->anomalies.size(); ++at) {
+      core::MonitorStateImage image = valid;
+      corruptions[c](image.last_spectral->anomalies[at]);
+      EXPECT_THROW(reads(image), emts::precondition_error)
+          << "corruption " << c << " of anomaly " << at;
+    }
+  }
+  core::MonitorStateImage unsorted = valid;
+  unsorted.last_spectral->anomalies = {weak, strong};
+  EXPECT_THROW(reads(unsorted), emts::precondition_error);
+}
+
 TEST(MonitorStateSerialization, TruncatedStreamThrows) {
   core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
   monitor.push_batch(make_set(10, false, 6));
@@ -287,6 +344,46 @@ TEST(MonitorRestore, LatchedAlarmSurvivesRestore) {
   EXPECT_EQ(restored.state(), monitor.state());
   expect_image_eq(restored.export_state(), monitor.export_state(),
                   /*compare_latency=*/false);
+}
+
+// The windowed run's only state is the last spectral report. An EMFS cut
+// taken after the first anomalous A2 window, on its boundary or part-way
+// into the second window, restores and latches at the same push as the
+// uninterrupted stream.
+TEST_F(SnapshotFile, CutBetweenAnomalousWindowsLatchesOnSchedule) {
+  const std::size_t window = small_options().spectral_window;
+  emts::Rng rng{53};
+  std::vector<core::Trace> stream;
+  for (std::size_t t = 0; t < 4 * window; ++t) {
+    stream.push_back(t < window ? golden_trace(rng) : a2_trace(rng));
+  }
+  core::RuntimeMonitor reference{kFs, fitted(), small_options()};
+  for (const core::Trace& trace : stream) reference.push(trace);
+  ASSERT_EQ(reference.state(), core::MonitorState::kAlarm);
+  ASSERT_EQ(reference.stats().per_trace_anomalies, 0u);
+  ASSERT_EQ(reference.export_state().alarm_latched_at, 3 * window);
+
+  for (const std::size_t cut : {2 * window, 2 * window + 3}) {
+    SCOPED_TRACE("cut after push " + std::to_string(cut));
+    core::RuntimeMonitor exporter{kFs, fitted(), small_options()};
+    for (std::size_t t = 0; t < cut; ++t) exporter.push(stream[t]);
+    ASSERT_EQ(exporter.state(), core::MonitorState::kMonitoring);
+    ASSERT_TRUE(exporter.last_spectral().has_value() && exporter.last_spectral()->anomalous());
+
+    FleetSnapshot snapshot;
+    snapshot.shards = 1;
+    snapshot.devices.push_back({"chip-a2", fitted(), exporter.export_state()});
+    save_fleet_snapshot(path_, snapshot);
+    const FleetSnapshot loaded = load_fleet_snapshot(path_);
+    ASSERT_EQ(loaded.devices.size(), 1u);
+
+    core::RuntimeMonitor restored{kFs, *loaded.devices[0].evaluator, small_options()};
+    restored.restore_state(loaded.devices[0].monitor);
+    for (std::size_t t = cut; t < stream.size(); ++t) restored.push(stream[t]);
+    EXPECT_EQ(restored.state(), core::MonitorState::kAlarm);
+    expect_image_eq(restored.export_state(), reference.export_state(),
+                    /*compare_latency=*/false);
+  }
 }
 
 TEST(MonitorRestore, RefusesTouchedMonitor) {

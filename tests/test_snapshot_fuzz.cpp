@@ -2,10 +2,11 @@
 // gates behind it. A valid container holds three kinds of device record: a
 // monitor part-way through a spectral window, a monitor still
 // self-calibrating, and a monitor whose stack has no spectral stage. A
-// fixed-seed Rng derives a fixed budget of mutants from it: byte flips,
-// truncations and length-field splices. Mutations inside a record are also
-// applied "resealed" (the record checksum recomputed), so they get past the
-// checksum into the EMCA and monitor-state parsers and on to
+// fixed-seed Rng derives a fixed budget of mutants from it through the
+// shared engine in fuzz_mutator.hpp: byte flips, truncations and
+// length-field splices. Mutations inside a record are also applied
+// "resealed" (the record checksum recomputed), so they get past the checksum
+// into the EMCA and monitor-state parsers and on to
 // RuntimeMonitor::restore_state. Every mutant must either be refused with
 // precondition_error by load_fleet_snapshot or by the restore, or load,
 // restore and take 16 more pushes per device without a fault.
@@ -13,7 +14,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -25,15 +25,20 @@
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
+#include "fuzz_mutator.hpp"
 #include "io/snapshot.hpp"
 #include "scratch_dir.hpp"
 #include "util/assert.hpp"
-#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace emts::io {
 namespace {
+
+using test_support::Field;
+using test_support::mutate;
+using test_support::read_le;
+using test_support::SealedSpan;
 
 constexpr double kFs = 384e6;
 constexpr std::size_t kLen = 1024;
@@ -108,12 +113,6 @@ std::string serialize_state(const core::MonitorStateImage& image) {
   return out.str();
 }
 
-/// A length or count field: byte offset and width.
-struct Field {
-  std::size_t offset = 0;
-  std::size_t width = 0;
-};
-
 /// Locates the monitor-state fields a splice targets by serializing the
 /// image once as is and once with that field changed: the first differing
 /// byte is the field's (little-endian) start.
@@ -142,38 +141,23 @@ std::vector<Field> locate_state_fields(const core::MonitorStateImage& image) {
   };
 }
 
-std::uint64_t read_le(const std::string& bytes, const Field& field) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes.data() + field.offset, field.width);
-  return value;
-}
-
-void write_le(std::string& bytes, const Field& field, std::uint64_t value) {
-  std::memcpy(bytes.data() + field.offset, &value, field.width);
-}
-
-/// One device record of the seed container.
-struct Record {
-  std::size_t payload_begin = 0;
-  std::size_t payload_end = 0;     // the u64 checksum follows
-  std::vector<Field> raw_fields;   // outside the checksummed payload
-  std::vector<Field> sealed_fields;  // inside it: splice, then reseal
-};
-
-std::vector<Record> locate_records(const std::string& bytes, const FleetSnapshot& snapshot) {
-  std::vector<Record> records;
+/// The seed container's device records: each one's checksummed payload, its
+/// id length, payload size and the container's device count as raw fields,
+/// and its EMCA size and monitor-state fields as sealed ones.
+std::vector<SealedSpan> locate_records(const std::string& bytes,
+                                       const FleetSnapshot& snapshot) {
+  std::vector<SealedSpan> records;
   std::size_t at = 21;  // magic, version, shards, queue capacity, policy, device count
   for (const FleetSnapshot::Device& device : snapshot.devices) {
-    Record record;
+    SealedSpan record;
     record.raw_fields.push_back({at, 4});  // device id length
     at += 4 + device.device_id.size();
     record.raw_fields.push_back({at, 8});  // payload size
-    std::uint64_t payload_size = 0;
-    std::memcpy(&payload_size, bytes.data() + at, 8);
+    record.raw_fields.push_back({17, 4});  // device count
     record.payload_begin = at + 8;
-    record.payload_end = record.payload_begin + static_cast<std::size_t>(payload_size);
-    std::uint64_t emca_size = 0;
-    std::memcpy(&emca_size, bytes.data() + record.payload_begin, 8);
+    record.payload_end =
+        record.payload_begin + static_cast<std::size_t>(read_le(bytes, {at, 8}));
+    const std::uint64_t emca_size = read_le(bytes, {record.payload_begin, 8});
     record.sealed_fields.push_back({record.payload_begin, 8});
     const std::size_t state_begin = record.payload_begin + 8 + static_cast<std::size_t>(emca_size);
     for (Field field : locate_state_fields(device.monitor)) {
@@ -187,12 +171,6 @@ std::vector<Record> locate_records(const std::string& bytes, const FleetSnapshot
   return records;
 }
 
-void reseal(std::string& bytes, const Record& record) {
-  const std::uint64_t sum = util::fnv1a64(bytes.data() + record.payload_begin,
-                                          record.payload_end - record.payload_begin);
-  std::memcpy(bytes.data() + record.payload_end, &sum, 8);
-}
-
 /// Splice values: boundaries of the field's own value and of the window and
 /// spectrum shapes, plus widths' extremes.
 std::uint64_t splice_value(Rng& rng, std::uint64_t current, std::size_t width) {
@@ -203,52 +181,6 @@ std::uint64_t splice_value(Rng& rng, std::uint64_t current, std::size_t width) {
       1ull << 20, (1ull << 20) + 1, 1ull << 31, 1ull << 32, 1ull << 40, 1ull << 62,
       ~0ull, rng.next_u64()};
   return candidates[rng.uniform_below(sizeof candidates / sizeof candidates[0])] & mask;
-}
-
-void flip_bytes(Rng& rng, std::string& bytes, std::size_t begin, std::size_t end) {
-  const std::uint32_t flips = 1 + rng.uniform_below(4);
-  for (std::uint32_t f = 0; f < flips; ++f) {
-    const std::size_t at = begin + rng.uniform_below(static_cast<std::uint32_t>(end - begin));
-    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.uniform_below(255)));
-  }
-}
-
-std::string mutate(Rng& rng, const std::string& seed, const std::vector<Record>& records,
-                   std::string& label) {
-  std::string bytes = seed;
-  const Record& record = records[rng.uniform_below(static_cast<std::uint32_t>(records.size()))];
-  switch (rng.uniform_below(5)) {
-    case 0:
-      label = "raw byte flips";
-      flip_bytes(rng, bytes, 0, bytes.size());
-      break;
-    case 1:
-      label = "truncation";
-      bytes.resize(rng.uniform_below(static_cast<std::uint32_t>(bytes.size())));
-      break;
-    case 2: {
-      label = "raw length splice";
-      std::vector<Field> fields = record.raw_fields;
-      fields.push_back({17, 4});  // device count
-      const Field field = fields[rng.uniform_below(static_cast<std::uint32_t>(fields.size()))];
-      write_le(bytes, field, splice_value(rng, read_le(bytes, field), field.width));
-      break;
-    }
-    case 3:
-      label = "resealed byte flips";
-      flip_bytes(rng, bytes, record.payload_begin, record.payload_end);
-      reseal(bytes, record);
-      break;
-    default: {
-      label = "resealed length splice";
-      const Field field = record.sealed_fields[rng.uniform_below(
-          static_cast<std::uint32_t>(record.sealed_fields.size()))];
-      write_le(bytes, field, splice_value(rng, read_le(bytes, field), field.width));
-      reseal(bytes, record);
-      break;
-    }
-  }
-  return bytes;
 }
 
 enum class Outcome { kRefused, kRestored };
@@ -314,7 +246,7 @@ TEST(SnapshotFuzz, EveryMutantIsRefusedOrRestoresAndKeepsStreaming) {
     std::ifstream in{path, std::ios::binary};
     seed.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
   }
-  const std::vector<Record> records = locate_records(seed, snapshot);
+  const std::vector<SealedSpan> records = locate_records(seed, snapshot);
   const core::TraceSet more = golden_set(kPushesAfterRestore, 5);
   const char* stage = "";
 
@@ -326,7 +258,7 @@ TEST(SnapshotFuzz, EveryMutantIsRefusedOrRestoresAndKeepsStreaming) {
   std::size_t restored = 0;
   for (std::size_t m = 0; m < kMutants; ++m) {
     std::string label;
-    const std::string bytes = mutate(rng, seed, records, label);
+    const std::string bytes = mutate(rng, seed, records, splice_value, label);
     SCOPED_TRACE("mutant " + std::to_string(m) + " (" + label + ")");
     // Remove, then write: ext4 flushes a file truncated and rewritten in
     // place on close, which would cost tens of milliseconds per mutant.

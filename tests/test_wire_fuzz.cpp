@@ -2,7 +2,7 @@
 // daemon client sends goes through. A valid multi-frame stream — a HELLO,
 // then interleaved trace frames for three devices — is mutated by a
 // fixed-seed Rng with a fixed budget of byte flips, truncations and
-// length-field splices. Mutations inside a frame are also applied
+// length-field splices, through the shared engine in fuzz_mutator.hpp. Mutations inside a frame are also applied
 // "resealed" (the payload checksum recomputed), so they get past the
 // checksum into the payload parsers. Each mutant is fed to a FrameDecoder in
 // random-sized chunks, draining next() after every feed, exactly as the
@@ -15,46 +15,35 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
+#include "fuzz_mutator.hpp"
 #include "util/assert.hpp"
-#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace emts::io::wire {
 namespace {
 
+using test_support::Field;
+using test_support::mutate;
+using test_support::SealedSpan;
+
 constexpr std::size_t kMutants = 10000;
 constexpr std::uint64_t kSeed = 0x454d5746;  // "EMWF"
 
-/// A length or count field: byte offset and width.
-struct Field {
-  std::size_t offset = 0;
-  std::size_t width = 0;
-};
-
-/// One frame of the seed stream.
-struct FrameSpan {
-  std::size_t begin = 0;
-  std::size_t payload_begin = 0;
-  std::size_t payload_end = 0;  // the u64 checksum follows
-  std::vector<Field> raw_fields;     // header: payload size
-  std::vector<Field> sealed_fields;  // inside the payload: splice, then reseal
-};
-
+/// The seed stream and its frames: each frame's payload size is a raw
+/// field, its token or id length and sample count are sealed ones.
 struct Seed {
   std::string bytes;
-  std::vector<FrameSpan> frames;
+  std::vector<SealedSpan> frames;
 };
 
 Seed seed_stream() {
   Seed seed;
   const auto add_span = [&seed](std::size_t begin, std::vector<Field> sealed) {
-    FrameSpan span;
-    span.begin = begin;
+    SealedSpan span;
     span.payload_begin = begin + 12;
     span.payload_end = seed.bytes.size() - 8;
     span.raw_fields.push_back({begin + 8, 4});
@@ -84,13 +73,10 @@ Seed seed_stream() {
   return seed;
 }
 
-void reseal(std::string& bytes, const FrameSpan& span) {
-  const std::uint64_t sum =
-      util::fnv1a64(bytes.data() + span.payload_begin, span.payload_end - span.payload_begin);
-  std::memcpy(bytes.data() + span.payload_end, &sum, 8);
-}
-
-std::uint32_t splice_value(Rng& rng, std::uint32_t current) {
+/// Splice values for the u32 length fields: boundaries of the field's own
+/// value and of the decoder's token and payload limits.
+std::uint64_t splice_value(Rng& rng, std::uint64_t field, std::size_t /*width*/) {
+  const auto current = static_cast<std::uint32_t>(field);
   const std::uint32_t candidates[] = {0,
                                       1,
                                       2,
@@ -106,54 +92,6 @@ std::uint32_t splice_value(Rng& rng, std::uint32_t current) {
                                       0xffffffffu,
                                       rng.next_u32()};
   return candidates[rng.uniform_below(sizeof candidates / sizeof candidates[0])];
-}
-
-void splice(Rng& rng, std::string& bytes, const Field& field) {
-  std::uint32_t value = 0;
-  std::memcpy(&value, bytes.data() + field.offset, field.width);
-  value = splice_value(rng, value);
-  std::memcpy(bytes.data() + field.offset, &value, field.width);
-}
-
-void flip_bytes(Rng& rng, std::string& bytes, std::size_t begin, std::size_t end) {
-  const std::uint32_t flips = 1 + rng.uniform_below(4);
-  for (std::uint32_t f = 0; f < flips; ++f) {
-    const std::size_t at = begin + rng.uniform_below(static_cast<std::uint32_t>(end - begin));
-    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.uniform_below(255)));
-  }
-}
-
-std::string mutate(Rng& rng, const Seed& seed, std::string& label) {
-  std::string bytes = seed.bytes;
-  const FrameSpan& span =
-      seed.frames[rng.uniform_below(static_cast<std::uint32_t>(seed.frames.size()))];
-  switch (rng.uniform_below(5)) {
-    case 0:
-      label = "raw byte flips";
-      flip_bytes(rng, bytes, 0, bytes.size());
-      break;
-    case 1:
-      label = "truncation";
-      bytes.resize(rng.uniform_below(static_cast<std::uint32_t>(bytes.size())));
-      break;
-    case 2:
-      label = "raw length splice";
-      splice(rng, bytes, span.raw_fields[rng.uniform_below(
-                             static_cast<std::uint32_t>(span.raw_fields.size()))]);
-      break;
-    case 3:
-      label = "resealed byte flips";
-      flip_bytes(rng, bytes, span.payload_begin, span.payload_end);
-      reseal(bytes, span);
-      break;
-    default:
-      label = "resealed length splice";
-      splice(rng, bytes, span.sealed_fields[rng.uniform_below(
-                             static_cast<std::uint32_t>(span.sealed_fields.size()))]);
-      reseal(bytes, span);
-      break;
-  }
-  return bytes;
 }
 
 enum class Outcome { kRefused, kDecoded };
@@ -215,7 +153,7 @@ TEST(WireFuzz, EveryMutantIsRefusedOrDecodesToItsOwnBytes) {
   std::size_t decoded = 0;
   for (std::size_t m = 0; m < kMutants; ++m) {
     std::string label;
-    const std::string bytes = mutate(rng, seed, label);
+    const std::string bytes = mutate(rng, seed.bytes, seed.frames, splice_value, label);
     SCOPED_TRACE("mutant " + std::to_string(m) + " (" + label + ")");
     try {
       if (decode_in_chunks(rng, bytes, frames) == Outcome::kRefused) {

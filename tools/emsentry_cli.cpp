@@ -15,6 +15,7 @@
 //
 // Exit codes: 0 success / trusted, 1 verdict not trusted or alarm raised,
 // 2 malformed arguments (usage on stderr), 3 runtime error.
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -1077,19 +1078,15 @@ int cmd_array_monitor(const std::vector<std::string>& args) {
   const bool json = array_json_requested(args);
 
   const auto states = run.monitor->states();
-  std::size_t session_alarms = 0;
-  std::size_t spectral_alarms = 0;
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    if (states[s] == core::MonitorState::kAlarm) ++session_alarms;
-    if (run.monitor->spectral_alarmed(s)) ++spectral_alarms;
-  }
+  const auto session_alarms = static_cast<std::size_t>(
+      std::count(states.begin(), states.end(), core::MonitorState::kAlarm));
   const bool alarm = run.monitor->any_alarm();
 
   if (json) {
-    std::printf("{\"schema\":\"array-monitor/1\",\"grid\":\"%zux%zu\",\"windows\":%zu,"
-                "\"alarm\":%s,\"session_alarms\":%zu,\"spectral_alarms\":%zu}\n",
+    std::printf("{\"schema\":\"array-monitor/2\",\"grid\":\"%zux%zu\",\"windows\":%zu,"
+                "\"alarm\":%s,\"session_alarms\":%zu}\n",
                 run.grid->nx(), run.grid->ny(), run.windows, alarm ? "true" : "false",
-                session_alarms, spectral_alarms);
+                session_alarms);
     return alarm ? 1 : 0;
   }
   std::printf("array monitor: %zux%zu grid, %zu windows%s\n", run.grid->nx(), run.grid->ny(),
@@ -1098,8 +1095,7 @@ int cmd_array_monitor(const std::vector<std::string>& args) {
                            " armed")
                               .c_str()
                         : "");
-  std::printf("  coils alarmed: %zu per-trace sessions, %zu spectral latches\n",
-              session_alarms, spectral_alarms);
+  std::printf("  coils alarmed: %zu of %zu\n", session_alarms, states.size());
   std::printf("  verdict: %s\n", alarm ? "ALARM" : "trusted");
   return alarm ? 1 : 0;
 }
