@@ -129,6 +129,18 @@ FleetMonitor::Session* FleetMonitor::find_session(const std::string& device_id) 
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
+std::vector<FleetMonitor::Session*> FleetMonitor::sorted_sessions() const {
+  std::vector<Session*> sessions;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mutex_);
+    sessions.reserve(sessions_.size());
+    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
+  }
+  std::sort(sessions.begin(), sessions.end(),
+            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
+  return sessions;
+}
+
 void FleetMonitor::wake_worker(Shard& shard) {
   // Store-fence-load handshake against the worker's park path: the worker
   // sets worker_parked, fences, then rechecks the queue before sleeping; we
@@ -239,29 +251,15 @@ io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
   out.queue_capacity = static_cast<std::uint32_t>(options_.queue_capacity);
   out.backpressure = static_cast<std::uint8_t>(options_.backpressure);
 
-  std::vector<const Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
-
-  // The workers are quiesced, so per-session traces_ingested is stable for
-  // the whole cut; the marks mutex only orders us against concurrent
-  // acknowledge_alarm/drain_events markers.
-  std::lock_guard<std::mutex> marks(snapshot_marks_mutex_);
-
+  const std::vector<Session*> sessions = sorted_sessions();
   out.devices.reserve(sessions.size());
-  for (const Session* session : sessions) {
+  for (Session* session : sessions) {
+    // The exec lock orders the mark against acknowledge_alarm/drain_events,
+    // which dirty it under the same lock.
     std::lock_guard<std::mutex> exec(shards_[session->shard]->exec_mutex);
     const std::uint64_t ingested = session->monitor.stats().traces_ingested;
     if (mode == SnapshotMode::kIncremental) {
-      const auto mark = snapshot_marks_.find(session->device_id);
-      const bool clean = mark != snapshot_marks_.end() && mark->second == ingested &&
-                         snapshot_force_dirty_.count(session->device_id) == 0;
-      if (clean) {
+      if (session->snapshot_mark == ingested) {
         io::FleetSnapshot::Device placeholder;
         placeholder.device_id = session->device_id;
         placeholder.dirty = false;
@@ -274,9 +272,8 @@ io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
                  "fleet snapshot: session '" + session->device_id + "' has no evaluator");
     out.devices.push_back(io::FleetSnapshot::Device{
         session->device_id, *evaluator, session->monitor.export_state()});
-    snapshot_marks_[session->device_id] = ingested;
+    session->snapshot_mark = ingested;
   }
-  snapshot_force_dirty_.clear();
   resume();
   return out;
 }
@@ -420,14 +417,11 @@ core::MonitorState FleetMonitor::device_state(const std::string& device_id) cons
 void FleetMonitor::acknowledge_alarm(const std::string& device_id) {
   Session* session = find_session(device_id);
   EMTS_REQUIRE(session != nullptr, "unknown device '" + device_id + "'");
-  {
-    std::lock_guard<std::mutex> exec(shards_[session->shard]->exec_mutex);
-    session->monitor.acknowledge_alarm();
-  }
+  std::lock_guard<std::mutex> exec(shards_[session->shard]->exec_mutex);
+  session->monitor.acknowledge_alarm();
   // Mutates session state without moving traces_ingested — the incremental
   // dirty key can't see it, so mark explicitly.
-  std::lock_guard<std::mutex> marks(snapshot_marks_mutex_);
-  snapshot_force_dirty_.insert(device_id);
+  session->snapshot_mark = Session::kDirty;
 }
 
 FleetStats FleetMonitor::stats() const {
@@ -450,15 +444,7 @@ FleetStats FleetMonitor::stats() const {
     out.shards.push_back(snapshot);
   }
 
-  std::vector<Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
-
+  const std::vector<Session*> sessions = sorted_sessions();
   out.devices = sessions.size();
   out.sessions.reserve(sessions.size());
   for (const Session* session : sessions) {
@@ -488,28 +474,16 @@ FleetStats FleetMonitor::stats() const {
 }
 
 std::size_t FleetMonitor::drain_events(std::vector<FleetEvent>& out) {
-  std::vector<Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
-
   std::size_t drained = 0;
   std::vector<core::MonitorEvent> scratch;
-  for (Session* session : sessions) {
+  for (Session* session : sorted_sessions()) {
     scratch.clear();
     {
       std::lock_guard<std::mutex> exec(shards_[session->shard]->exec_mutex);
       session->monitor.drain_events(scratch);
-    }
-    if (!scratch.empty()) {
       // Emptied the session's event log: state moved without a push, so the
       // incremental dirty key must be forced.
-      std::lock_guard<std::mutex> marks(snapshot_marks_mutex_);
-      snapshot_force_dirty_.insert(session->device_id);
+      if (!scratch.empty()) session->snapshot_mark = Session::kDirty;
     }
     drained += scratch.size();
     for (core::MonitorEvent& event : scratch) {

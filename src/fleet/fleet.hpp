@@ -42,7 +42,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -142,12 +141,13 @@ struct FleetEvent {
 std::uint64_t device_hash(const std::string& device_id);
 
 /// How much of the fleet a snapshot() cut copies. kFull copies every
-/// session. kIncremental copies only *dirty* sessions — those whose monitor
-/// state moved since the previous cut (any push advances traces_ingested;
-/// acknowledge_alarm/drain_events mark the session dirty explicitly) — and
-/// emits clean sessions as placeholders (Device::dirty == false) for the
-/// cache-aware io::save_fleet_snapshot overload to fill from its record
-/// cache. Both modes advance the dirty baseline.
+/// session; callers without a record cache need it. kIncremental copies only
+/// *dirty* sessions — those whose monitor state moved since the previous cut
+/// (any push advances traces_ingested; acknowledge_alarm/drain_events mark
+/// the session dirty explicitly) — and emits clean sessions as placeholders
+/// (Device::dirty == false) for the cache-aware io::save_fleet_snapshot
+/// overload to fill from its record cache; the ingest daemon cuts this way
+/// once its cache is warm. Both modes advance the dirty baseline.
 enum class SnapshotMode : std::uint8_t { kFull, kIncremental };
 
 class FleetMonitor {
@@ -251,9 +251,16 @@ class FleetMonitor {
 
  private:
   struct Session {
+    /// snapshot_mark value of a session that was never cut, or whose state
+    /// moved without a push (acknowledge_alarm, drain_events).
+    static constexpr std::uint64_t kDirty = UINT64_MAX;
+
     std::string device_id;
     std::size_t shard = 0;
     core::RuntimeMonitor monitor;  // pinned: sessions live behind unique_ptr
+    /// Dirty baseline for kIncremental cuts: traces_ingested at the last
+    /// cut, or kDirty. Guarded by the shard's exec_mutex, like `monitor`.
+    std::uint64_t snapshot_mark = kDirty;
 
     Session(std::string id, std::size_t shard_index, core::RuntimeMonitor m)
         : device_id{std::move(id)}, shard{shard_index}, monitor{std::move(m)} {}
@@ -306,6 +313,9 @@ class FleetMonitor {
   };
 
   Session* find_session(const std::string& device_id) const;
+  /// Every session, sorted by device id. Sessions are never removed, so the
+  /// pointers outlive the sessions_mutex_ critical section.
+  std::vector<Session*> sorted_sessions() const;
   void worker_loop(Shard& shard);
 
   /// Moves `item` into the shard ring under the fleet's backpressure policy.
@@ -323,15 +333,6 @@ class FleetMonitor {
 
   mutable std::mutex sessions_mutex_;  // guards the map itself
   std::unordered_map<std::string, std::unique_ptr<Session>> sessions_;
-
-  /// Incremental-snapshot dirty baseline: traces_ingested per device at the
-  /// last cut (missing entry = never snapshotted = dirty) plus explicit marks
-  /// for mutations pushes don't cover (acknowledge_alarm, drain_events).
-  /// Guarded by its own mutex — markers run on user threads while workers
-  /// score.
-  mutable std::mutex snapshot_marks_mutex_;
-  std::unordered_map<std::string, std::uint64_t> snapshot_marks_;
-  std::unordered_set<std::string> snapshot_force_dirty_;
 };
 
 }  // namespace emts::fleet

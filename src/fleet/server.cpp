@@ -109,8 +109,6 @@ IngestServer::IngestServer(FleetMonitor& fleet, ServerOptions options)
                "ingest server needs a socket path or a TCP listen endpoint");
   EMTS_REQUIRE(options_.max_clients >= 1, "ingest server needs max_clients >= 1");
   EMTS_REQUIRE(options_.poll_timeout_ms > 0, "ingest server poll timeout must be > 0");
-  EMTS_REQUIRE(options_.full_snapshot_every >= 1,
-               "ingest server full-snapshot cadence must be >= 1");
   allow_rules_.reserve(options_.allow.size());
   for (const std::string& rule : options_.allow) allow_rules_.push_back(parse_cidr(rule));
 
@@ -364,23 +362,14 @@ void IngestServer::drain_all_clients() {
 void IngestServer::write_snapshot(bool forced) {
   if (options_.snapshot_path.empty()) return;
   const std::string tmp = options_.snapshot_path + ".tmp";
-  if (options_.incremental_snapshots) {
-    // The first cut must be full (nothing cached yet); afterwards every Nth
-    // is a full rewrite so a corrupted cache entry cannot outlive one cycle.
-    const bool full = !snapshot_cache_primed_ ||
-                      snapshots_since_full_ + 1 >= options_.full_snapshot_every;
-    const io::FleetSnapshot snapshot =
-        fleet_.snapshot(full ? SnapshotMode::kFull : SnapshotMode::kIncremental);
-    io::SnapshotSaveStats save_stats;
-    io::save_fleet_snapshot(tmp, snapshot, snapshot_cache_, &save_stats);
-    snapshot_cache_primed_ = true;
-    snapshots_since_full_ = full ? 0 : snapshots_since_full_ + 1;
-    counters_.snapshot_records_reused += save_stats.records_reused;
-    counters_.snapshot_records_rewritten += save_stats.records_rewritten;
-  } else {
-    const io::FleetSnapshot snapshot = fleet_.snapshot();
-    io::save_fleet_snapshot(tmp, snapshot);
-  }
+  // A cold cache holds no records to reuse, so the first cut copies every
+  // device; each record carries its own checksum, which the loader verifies.
+  const io::FleetSnapshot snapshot = fleet_.snapshot(
+      snapshot_cache_.records.empty() ? SnapshotMode::kFull : SnapshotMode::kIncremental);
+  io::SnapshotSaveStats save_stats;
+  io::save_fleet_snapshot(tmp, snapshot, snapshot_cache_, &save_stats);
+  counters_.snapshot_records_reused += save_stats.records_reused;
+  counters_.snapshot_records_rewritten += save_stats.records_rewritten;
   io::durable_replace(tmp, options_.snapshot_path);
   ++counters_.snapshots_written;
   if (forced) ++counters_.snapshots_forced;

@@ -76,14 +76,12 @@ struct ServerOptions {
   /// due triggers a snapshot).
   std::uint64_t snapshot_every_ms = 0;
 
-  /// Incremental snapshot cuts: copy and re-encode only devices whose state
-  /// moved since the last cut, stream the rest from the in-memory record
-  /// cache (io::FleetSnapshotRecordCache). Every written file is still a
-  /// complete EMFS container, byte-identical to a full rewrite.
+  /// Ignored; kept so existing callers still compile. Every cut is
+  /// incremental: the first one (cold record cache) copies every device,
+  /// later ones copy and re-encode only devices whose state moved and stream
+  /// the rest from the in-memory io::FleetSnapshotRecordCache. Every written
+  /// file is a complete EMFS container, byte-identical to a full rewrite.
   bool incremental_snapshots = false;
-  /// In incremental mode, force a full rewrite every Nth snapshot (>= 1) as
-  /// a periodic safety net; the first cut is always full (cold cache).
-  std::uint64_t full_snapshot_every = 16;
 
   /// Periodic fleet stats JSON destination (fleet_stats_json schema). Empty
   /// disables the export. The final export at shutdown drains and includes
@@ -114,7 +112,7 @@ struct ServerCounters {
                                            // kReject backpressure refusals
   std::uint64_t snapshots_written = 0;
   std::uint64_t snapshots_forced = 0;      // cut on a busy round after overshoot
-  std::uint64_t snapshot_records_reused = 0;     // incremental-mode cache hits
+  std::uint64_t snapshot_records_reused = 0;     // record-cache hits
   std::uint64_t snapshot_records_rewritten = 0;  // re-encoded device records
   std::uint64_t stats_exports = 0;
 };
@@ -192,10 +190,8 @@ class IngestServer {
   int tcp_listen_fd_ = -1;  // TCP transport (-1 when disabled)
   std::vector<CidrRule> allow_rules_;
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Incremental-snapshot record cache + full-rewrite cadence state.
+  /// Encoded records of the last cut; empty until the first one.
   io::FleetSnapshotRecordCache snapshot_cache_;
-  bool snapshot_cache_primed_ = false;
-  std::uint64_t snapshots_since_full_ = 0;
 };
 
 /// Parses a `--snapshot-every` cadence argument: a bare count means frames,

@@ -256,46 +256,21 @@ std::string encode_device_record(const FleetSnapshot::Device& device) {
   return record.str();
 }
 
-void check_snapshot_shape(const FleetSnapshot& snapshot) {
+}  // namespace
+
+void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot) {
+  FleetSnapshotRecordCache cold;
+  save_fleet_snapshot(path, snapshot, cold);
+}
+
+void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
+                         FleetSnapshotRecordCache& cache, SnapshotSaveStats* stats) {
   EMTS_REQUIRE(snapshot.devices.size() <= kMaxDevices,
                "save_fleet_snapshot: too many devices");
   for (std::size_t d = 1; d < snapshot.devices.size(); ++d) {
     EMTS_REQUIRE(snapshot.devices[d - 1].device_id < snapshot.devices[d].device_id,
                  "save_fleet_snapshot: devices must be sorted by id, without duplicates");
   }
-}
-
-void write_snapshot_header(std::ostream& out, const FleetSnapshot& snapshot) {
-  out.write(kMagic, sizeof kMagic);
-  util::write_u32(out, kVersion);
-  util::write_u32(out, snapshot.shards);
-  util::write_u32(out, snapshot.queue_capacity);
-  util::write_u8(out, snapshot.backpressure);
-  util::write_u32(out, static_cast<std::uint32_t>(snapshot.devices.size()));
-}
-
-}  // namespace
-
-void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot) {
-  check_snapshot_shape(snapshot);
-
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: cannot open " + path);
-  write_snapshot_header(out, snapshot);
-
-  for (const FleetSnapshot::Device& device : snapshot.devices) {
-    EMTS_REQUIRE(device.dirty,
-                 "save_fleet_snapshot: clean (placeholder) record for '" +
-                     device.device_id + "' needs the cache-aware overload");
-    const std::string record = encode_device_record(device);
-    out.write(record.data(), static_cast<std::streamsize>(record.size()));
-  }
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: write failed for " + path);
-}
-
-void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
-                         FleetSnapshotRecordCache& cache, SnapshotSaveStats* stats) {
-  check_snapshot_shape(snapshot);
 
   // Refresh the cache before touching the file so a failed write leaves the
   // cache consistent with the *state*, which is what the next cut needs.
@@ -319,7 +294,12 @@ void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
 
   std::ofstream out{path, std::ios::binary};
   EMTS_REQUIRE(out.good(), "save_fleet_snapshot: cannot open " + path);
-  write_snapshot_header(out, snapshot);
+  out.write(kMagic, sizeof kMagic);
+  util::write_u32(out, kVersion);
+  util::write_u32(out, snapshot.shards);
+  util::write_u32(out, snapshot.queue_capacity);
+  util::write_u8(out, snapshot.backpressure);
+  util::write_u32(out, static_cast<std::uint32_t>(snapshot.devices.size()));
   for (const FleetSnapshot::Device& device : snapshot.devices) {
     const std::string& record = cache.records.at(device.device_id);
     out.write(record.data(), static_cast<std::streamsize>(record.size()));

@@ -27,14 +27,17 @@
 //
 // Incremental saves: because serialization is deterministic (devices sorted,
 // no timestamps), a device whose state has not moved since the last snapshot
-// re-serializes to byte-identical record bytes. The cache-aware
-// save_fleet_snapshot overload exploits this — records for clean devices
+// re-serializes to byte-identical record bytes. Every save runs through one
+// cache-aware writer that exploits this — records for clean devices
 // (Device::dirty == false) are streamed verbatim from a
 // FleetSnapshotRecordCache instead of being re-copied and re-encoded, so the
 // cost of a snapshot cut scales with the number of *moved* devices, not the
-// fleet size. The output is always a complete, self-contained EMFS v4
-// container, byte-identical to a full rewrite of the same state; there is no
-// delta file format and load_fleet_snapshot needs no changes.
+// fleet size; the plain overload is that writer with an empty cache. The
+// output is always a complete, self-contained EMFS v4 container,
+// byte-identical to a full rewrite of the same state; there is no delta file
+// format and load_fleet_snapshot needs no changes. A cached record keeps the
+// checksum it was written with, so the loader catches a corrupted cache entry
+// like any other corrupted record.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +100,13 @@ struct SnapshotSaveStats {
 /// version, absurd or inconsistent lengths, checksum mismatches, unsorted or
 /// duplicate device records, or trailing bytes.
 ///
-/// The plain save requires every device record to be populated
-/// (Device::dirty == true — it has no cache to fall back on). The
-/// cache-aware overload streams clean devices' records from `cache`
+/// The cache-aware overload streams clean devices' records from `cache`
 /// verbatim, refreshes the cache from dirty devices, prunes departed ids,
 /// and reports the reuse split via `stats` when non-null. A clean device
 /// with no cache entry is a precondition_error: the producer must mark
-/// everything dirty on its first (cold-cache) cut.
+/// everything dirty on its first (cold-cache) cut. The plain save is the
+/// same call with an empty cache, so every record must be populated
+/// (Device::dirty == true).
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot);
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
                          FleetSnapshotRecordCache& cache,

@@ -1,13 +1,15 @@
 // Seeded mutation engine shared by the loader fuzzers (test_snapshot_fuzz,
-// test_wire_fuzz). A seed byte string is described as a list of sealed
-// spans: each span is a checksummed payload [payload_begin, payload_end)
-// followed by its u64 FNV-1a checksum, with the length fields found around
-// it (raw, outside the checksum) and inside it (sealed). mutate() derives
-// one mutant per call from a fixed-seed Rng: byte flips, truncations and
-// length-field splices, where mutations inside a payload are "resealed" (the
-// checksum recomputed) so they reach the parsers behind the checksum. Each
-// fuzzer supplies its own splice values, the boundaries its format cares
-// about.
+// test_wire_fuzz, test_trace_archive_fuzz). A seed byte string is described
+// as a list of sealed spans: each span is a checksummed payload
+// [payload_begin, payload_end) followed by its u64 FNV-1a checksum, with the
+// length fields found around it (raw, outside the checksum) and inside it
+// (sealed). mutate() derives one mutant per call from a fixed-seed Rng: byte
+// flips, truncations and length-field splices, where mutations inside a
+// payload are "resealed" (the checksum recomputed) so they reach the parsers
+// behind the checksum. A format without checksums describes its seed as
+// unsealed spans (checksummed == false): the same mutations apply inside the
+// payload and the reseal is skipped. Each fuzzer supplies its own splice
+// values, the boundaries its format cares about.
 #pragma once
 
 #include <cstddef>
@@ -43,10 +45,13 @@ struct SealedSpan {
   std::size_t payload_end = 0;       // the u64 checksum follows
   std::vector<Field> raw_fields;     // outside the payload: splice as is
   std::vector<Field> sealed_fields;  // inside it: splice, then reseal
+  bool checksummed = true;           // false: no checksum follows, never reseal
 };
 
-/// Recomputes the span's checksum over its (mutated) payload.
+/// Recomputes the span's checksum over its (mutated) payload; a no-op for
+/// an unsealed span.
 inline void reseal(std::string& bytes, const SealedSpan& span) {
+  if (!span.checksummed) return;
   const std::uint64_t sum =
       util::fnv1a64(bytes.data() + span.payload_begin, span.payload_end - span.payload_begin);
   std::memcpy(bytes.data() + span.payload_end, &sum, 8);

@@ -119,6 +119,13 @@ void send_all(int fd, const char* data, std::size_t size) {
   }
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 std::string encode_frames(const std::string& device_id, const core::TraceSet& batch) {
   std::string bytes;
   for (const core::Trace& trace : batch.traces) {
@@ -515,8 +522,17 @@ TEST_F(ServerTest, SnapshotRequestHonoredOnIdleRound) {
   ::close(fd);
   stop = true;
   serve.join();
-  // Shutdown wrote a second (overwriting) snapshot.
+  // Shutdown wrote a second (overwriting) snapshot. Default options cut
+  // incrementally: the request cut met a cold cache and encoded the device,
+  // the shutdown cut found it unmoved and reused its record.
   EXPECT_EQ(server.counters().snapshots_written, 2u);
+  EXPECT_EQ(server.counters().snapshot_records_rewritten, 1u);
+  EXPECT_EQ(server.counters().snapshot_records_reused, 1u);
+
+  // The reused record leaves the file byte-identical to a full rewrite.
+  const std::string full_path = snapshot_path_ + ".full";
+  io::save_fleet_snapshot(full_path, fleet.snapshot(SnapshotMode::kFull));
+  EXPECT_EQ(read_file(snapshot_path_), read_file(full_path));
 }
 
 TEST_F(ServerTest, WallClockCadenceWritesSnapshotsWhileIdle) {

@@ -88,8 +88,7 @@ void print_usage(std::FILE* stream) {
                "                [--auth-secret <token>] [--model <model.emca>]\n"
                "                [--shards N] [--queue N] [--policy block|drop-oldest|reject]\n"
                "                [--pin] [--restore <snap.emfs>] [--snapshot-path <snap.emfs>]\n"
-               "                [--snapshot-every N[s|ms]] [--incremental-snapshots]\n"
-               "                [--full-snapshot-every N] [--stats-path <stats.json>]\n"
+               "                [--snapshot-every N[s|ms]] [--stats-path <stats.json>]\n"
                "                [--stats-every N]\n"
                "  emsentry_cli replay-client <archive.emta> --socket <path> --device <id>\n"
                "                [--connect <host:port>] [--auth-secret <token>]\n"
@@ -123,9 +122,8 @@ void print_usage(std::FILE* stream) {
                "no IPv6. --allow (repeatable) restricts TCP peers to dotted-quad\n"
                "hosts/CIDR blocks, --auth-secret makes\n"
                "every TCP client lead with a matching HELLO frame (replay-client\n"
-               "--connect/--auth-secret speaks both). --incremental-snapshots rewrites\n"
-               "only devices whose state moved since the last cut (full rewrite every\n"
-               "--full-snapshot-every cuts, default 16).\n"
+               "--connect/--auth-secret speaks both). Each snapshot after the first\n"
+               "re-encodes only devices whose state moved since the last cut.\n"
                "--restore starts from an EMFS snapshot instead of the manifest models;\n"
                "shard/queue/policy default to the snapshot's layout unless overridden.\n"
                "--pin pins each shard worker to a core (Linux, best-effort; only\n"
@@ -618,14 +616,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       server_options.allow.push_back(rule);
     } else if (a == "--auth-secret") {
       server_options.auth_secret = next();
-    } else if (a == "--incremental-snapshots") {
-      server_options.incremental_snapshots = true;
-    } else if (a == "--full-snapshot-every") {
-      server_options.full_snapshot_every = std::stoull(next());
-      if (server_options.full_snapshot_every == 0) {
-        std::fprintf(stderr, "--full-snapshot-every must be >= 1\n");
-        return usage_error();
-      }
     } else if (a == "--model") {
       model_path = next();
     } else if (a == "--restore") {
