@@ -140,7 +140,8 @@ RonTraceDetector RonTraceDetector::calibrate(const core::TraceSet& golden,
   return fitted;
 }
 
-double RonTraceDetector::score(const core::Trace& trace) const {
+double RonTraceDetector::score_buffered(const core::Trace& trace,
+                                        core::ScoreScratch& /*scratch*/) const {
   const std::vector<double> f = feature(trace);
   EMTS_REQUIRE(f.size() == mean_.size(), "trace length differs from RON calibration");
   double best = 0.0;

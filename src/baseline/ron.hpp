@@ -105,7 +105,7 @@ class RonTraceDetector : public core::Detector {
   double threshold() const override { return options_.sigma_threshold; }
 
   /// Largest |z| of the pooled features against the golden moments.
-  double score(const core::Trace& trace) const override;
+  double score_buffered(const core::Trace& trace, core::ScoreScratch& scratch) const override;
 
   void save(std::ostream& out) const override;
   static RonTraceDetector load(std::istream& in);

@@ -9,6 +9,11 @@
 
 namespace emts::core {
 
+double Detector::score(const Trace& trace) const {
+  ScoreScratch scratch;
+  return score_buffered(trace, scratch);
+}
+
 bool Detector::is_anomalous(const Trace& trace) const { return score(trace) > threshold(); }
 
 DetectorReport Detector::evaluate_set(const TraceSet& suspect, double alarm_fraction) const {
@@ -17,10 +22,11 @@ DetectorReport Detector::evaluate_set(const TraceSet& suspect, double alarm_frac
   report.name = name();
   report.threshold = threshold();
 
+  ScoreScratch scratch;
   double sum = 0.0;
   std::size_t beyond = 0;
   for (const Trace& trace : suspect.traces) {
-    const double s = score(trace);
+    const double s = score_buffered(trace, scratch);
     sum += s;
     report.max_score = std::max(report.max_score, s);
     if (s > report.threshold) ++beyond;
@@ -38,9 +44,10 @@ DetectorReport Detector::evaluate_set(const TraceSet& suspect, double alarm_frac
 }
 
 std::vector<double> Detector::score_all(const TraceSet& set) const {
+  ScoreScratch scratch;
   std::vector<double> out;
   out.reserve(set.size());
-  for (const Trace& trace : set.traces) out.push_back(score(trace));
+  for (const Trace& trace : set.traces) out.push_back(score_buffered(trace, scratch));
   return out;
 }
 

@@ -46,8 +46,8 @@ struct ScoreScratch {
 };
 
 /// A fitted (calibrated) Trojan detector. Implementations are immutable once
-/// fitted: score() and friends are const and thread-safe, so one fitted
-/// detector can serve concurrent evaluation streams.
+/// fitted: scoring is const and thread-safe, so one fitted detector can serve
+/// concurrent evaluation streams (one ScoreScratch per stream).
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -58,27 +58,23 @@ class Detector {
   /// Human-readable calibration summary (model shape, thresholds).
   virtual std::string describe() const = 0;
 
-  /// Per-trace anomaly score; larger = more suspicious.
-  virtual double score(const Trace& trace) const = 0;
+  /// Per-trace anomaly score, larger = more suspicious, with every
+  /// intermediate in caller-owned buffers. The one scoring member a detector
+  /// implements: score(), is_anomalous(), score_all() and the default
+  /// evaluate_set() all score through it.
+  virtual double score_buffered(const Trace& trace, ScoreScratch& scratch) const = 0;
 
-  /// score() writing every intermediate into caller-owned buffers. Returns a
-  /// value bit-identical to score(trace); overrides must preserve that
-  /// equality — the streaming monitor relies on it. The default ignores the
-  /// scratch and delegates, so detectors without a buffered path stay
-  /// correct (merely not allocation-free).
-  virtual double score_buffered(const Trace& trace, ScoreScratch& scratch) const {
-    (void)scratch;
-    return score(trace);
-  }
+  /// score_buffered() through a local scratch (allocates per call).
+  double score(const Trace& trace) const;
 
   /// Score level above which a single trace counts as anomalous.
   virtual double threshold() const = 0;
 
-  /// Verdict for one trace; defaults to the score/threshold rule.
-  virtual bool is_anomalous(const Trace& trace) const;
+  /// Verdict for one trace: score(trace) > threshold().
+  bool is_anomalous(const Trace& trace) const;
 
   /// Windowed detectors analyze a whole capture window at once (e.g. a mean
-  /// spectrum); per-trace score() still works but is not the natural grain.
+  /// spectrum); per-trace scoring still works but is not the natural grain.
   virtual bool windowed() const { return false; }
 
   /// Set-level verdict. The default scores every trace and alarms when the
@@ -90,7 +86,7 @@ class Detector {
   /// it with the detector name and payload size).
   virtual void save(std::ostream& out) const = 0;
 
-  /// Scores a whole set, trace by trace.
+  /// Scores a whole set, trace by trace, through one scratch.
   std::vector<double> score_all(const TraceSet& set) const;
 };
 

@@ -15,15 +15,15 @@ EuclideanDetector::EuclideanDetector(Preprocessor preprocessor, stats::PcaModel 
       pca_{std::move(pca)},
       include_residual_{include_residual} {}
 
-std::vector<double> EuclideanDetector::embed(const std::vector<double>& features) const {
-  std::vector<double> embedding = pca_.project(features);
+void EuclideanDetector::embed_into(const std::vector<double>& features,
+                                   ScoreScratch& scratch) const {
+  pca_.project_into(features, scratch.embedding);
   if (include_residual_) {
     // Q-statistic coordinate: how much of the trace lies outside the golden
     // variation subspace.
-    const auto back = pca_.reconstruct(embedding);
-    embedding.push_back(linalg::euclidean_distance(features, back));
+    pca_.reconstruct_into(scratch.embedding, scratch.recon);
+    scratch.embedding.push_back(linalg::euclidean_distance(features, scratch.recon));
   }
-  return embedding;
 }
 
 EuclideanDetector EuclideanDetector::calibrate(const TraceSet& golden) {
@@ -43,11 +43,12 @@ EuclideanDetector EuclideanDetector::calibrate(const TraceSet& golden, const Opt
 
   // Embed the calibration set and derive the Eq. 1 threshold.
   detector.golden_projections_.reserve(golden.size());
-  std::vector<double> sample(features.cols());
+  ScoreScratch scratch;
   for (std::size_t r = 0; r < features.rows(); ++r) {
     const double* row = features.row_data(r);
-    sample.assign(row, row + features.cols());
-    detector.golden_projections_.push_back(detector.embed(sample));
+    scratch.features.assign(row, row + features.cols());
+    detector.embed_into(scratch.features, scratch);
+    detector.golden_projections_.push_back(scratch.embedding);
   }
 
   detector.golden_centroid_.assign(detector.golden_projections_.front().size(), 0.0);
@@ -70,17 +71,9 @@ EuclideanDetector EuclideanDetector::calibrate(const TraceSet& golden, const Opt
   return detector;
 }
 
-double EuclideanDetector::score(const Trace& trace) const {
-  return linalg::euclidean_distance(embed(preprocessor_.features(trace)), golden_centroid_);
-}
-
 double EuclideanDetector::score_buffered(const Trace& trace, ScoreScratch& scratch) const {
   preprocessor_.features_into(trace, scratch.work, scratch.aux, scratch.aux2, scratch.features);
-  pca_.project_into(scratch.features, scratch.embedding);
-  if (include_residual_) {
-    pca_.reconstruct_into(scratch.embedding, scratch.recon);
-    scratch.embedding.push_back(linalg::euclidean_distance(scratch.features, scratch.recon));
-  }
+  embed_into(scratch.features, scratch);
   return linalg::euclidean_distance(scratch.embedding, golden_centroid_);
 }
 
@@ -142,9 +135,11 @@ EuclideanDetector EuclideanDetector::load(std::istream& in) {
 double EuclideanDetector::population_distance(const TraceSet& suspect) const {
   EMTS_REQUIRE(!suspect.empty(), "population_distance needs traces");
   std::vector<double> centroid(golden_centroid_.size(), 0.0);
+  ScoreScratch scratch;
   for (const Trace& t : suspect.traces) {
-    const auto p = embed(preprocessor_.features(t));
-    for (std::size_t c = 0; c < p.size(); ++c) centroid[c] += p[c];
+    preprocessor_.features_into(t, scratch.work, scratch.aux, scratch.aux2, scratch.features);
+    embed_into(scratch.features, scratch);
+    for (std::size_t c = 0; c < centroid.size(); ++c) centroid[c] += scratch.embedding[c];
   }
   for (double& v : centroid) v /= static_cast<double>(suspect.size());
   return linalg::euclidean_distance(centroid, golden_centroid_);

@@ -49,15 +49,12 @@ class EuclideanDetector : public Detector {
   /// Eq. 1 threshold: max pairwise distance among golden projections.
   double threshold() const override { return threshold_; }
 
-  /// Distance of a suspect trace to the golden centroid in PCA space.
-  double score(const Trace& trace) const override;
-
-  /// score() through caller-owned buffers: bit-identical values, zero heap
-  /// allocations once the scratch is warm for the stream's trace length.
+  /// Distance of a suspect trace to the golden centroid in PCA space; zero
+  /// heap allocations once the scratch is warm for the stream's trace length.
   double score_buffered(const Trace& trace, ScoreScratch& scratch) const override;
 
   /// Serializes the full fitted model; load() restores a detector whose
-  /// score()/threshold() are bit-identical to this one.
+  /// scores and threshold are bit-identical to this one.
   void save(std::ostream& out) const override;
   static EuclideanDetector load(std::istream& in);
 
@@ -73,8 +70,10 @@ class EuclideanDetector : public Detector {
  private:
   EuclideanDetector(Preprocessor preprocessor, stats::PcaModel pca, bool include_residual);
 
-  /// Projection + (optional) residual magnitude of one feature vector.
-  std::vector<double> embed(const std::vector<double>& features) const;
+  /// Projection + (optional) residual magnitude of one feature vector, into
+  /// scratch.embedding (scratch.recon is its working buffer). `features` may
+  /// be scratch.features.
+  void embed_into(const std::vector<double>& features, ScoreScratch& scratch) const;
 
   Preprocessor preprocessor_;
   stats::PcaModel pca_;

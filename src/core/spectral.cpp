@@ -125,7 +125,7 @@ SpectralReport SpectralDetector::analyze(const Trace& trace) const {
   return stream_finish(1, sample_rate_, scratch);
 }
 
-double SpectralDetector::score(const Trace& trace) const {
+double SpectralDetector::score_buffered(const Trace& trace, ScoreScratch& /*scratch*/) const {
   const SpectralReport report = analyze(trace);
   return report.anomalies.empty() ? 0.0 : report.anomalies.front().ratio;
 }

@@ -19,8 +19,9 @@
 //
 // Registered in the DetectorRegistry as "spectral". As a Detector it is
 // *windowed*: its natural grain is a whole capture window (mean spectrum),
-// so evaluate_set() analyzes the set at once; score(trace) is the strongest
-// anomaly ratio of that single trace (0 when clean) against a threshold of 0.
+// so evaluate_set() analyzes the set at once; a per-trace score is the
+// strongest anomaly ratio of that single trace (0 when clean) against a
+// threshold of 0.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +78,9 @@ class SpectralDetector : public Detector {
   bool windowed() const override { return true; }
 
   /// Strongest anomaly ratio of one trace; 0 when the trace is clean, so any
-  /// positive score against the 0 threshold means "anomalous".
-  double score(const Trace& trace) const override;
+  /// positive score against the 0 threshold means "anomalous". The spectral
+  /// pass keeps its own SpectralScratch; `scratch` is unused.
+  double score_buffered(const Trace& trace, ScoreScratch& scratch) const override;
   double threshold() const override { return 0.0; }
 
   /// Whole-window verdict from one mean-spectrum analysis.

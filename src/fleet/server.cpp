@@ -498,7 +498,15 @@ void IngestServer::run(const std::atomic<bool>& stop, std::atomic<bool>& snapsho
     const bool snapshot_overshot =
         snapshot_due && now_ns - snapshot_due_since_ns >= grace_ns;
     if (snapshot_due && (ready == 0 || snapshot_overshot)) {
-      write_snapshot(/*forced=*/ready != 0);
+      // A failed cut (full disk, missing directory) costs that cut, not the
+      // daemon: the record cache was refreshed before the file was opened,
+      // so the next due cut is still complete. Only the shutdown cut throws.
+      try {
+        write_snapshot(/*forced=*/ready != 0);
+      } catch (const std::exception& error) {
+        ++counters_.snapshot_failures;
+        std::fprintf(stderr, "ingest server: snapshot failed, serving on: %s\n", error.what());
+      }
       snapshot_requested = false;
       snapshot_due_since_ns = 0;
       frames_at_snapshot = counters_.frames_accepted;

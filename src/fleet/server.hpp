@@ -26,10 +26,12 @@
 // client) — but a daemon under sustained load may never see an idle round,
 // so a due snapshot/stats export overshooting its deadline by more than one
 // poll interval is forced anyway (counted in `snapshots_forced`; the cut is
-// still consistent, FleetMonitor::snapshot flushes and pauses). Artifacts
-// land via write-to-temp, fsync, rename, fsync-directory
-// (io::durable_replace), so a file that exists is complete *and* survives a
-// power cut.
+// still consistent, FleetMonitor::snapshot flushes and pauses). A cadence or
+// requested cut that fails (unwritable path, full disk) is counted in
+// `snapshot_failures` and the daemon serves on; only the shutdown cut's
+// failure escapes run(). Artifacts land via write-to-temp, fsync, rename,
+// fsync-directory (io::durable_replace), so a file that exists is complete
+// *and* survives a power cut.
 #pragma once
 
 #include <atomic>
@@ -112,6 +114,7 @@ struct ServerCounters {
                                            // kReject backpressure refusals
   std::uint64_t snapshots_written = 0;
   std::uint64_t snapshots_forced = 0;      // cut on a busy round after overshoot
+  std::uint64_t snapshot_failures = 0;     // cadence/requested cuts that threw
   std::uint64_t snapshot_records_reused = 0;     // record-cache hits
   std::uint64_t snapshot_records_rewritten = 0;  // re-encoded device records
   std::uint64_t stats_exports = 0;
@@ -158,7 +161,8 @@ class IngestServer {
   /// Serves until `stop` becomes true, then shuts down cleanly (drain,
   /// flush, final snapshot + stats). `snapshot_request` may be set at any
   /// time (signal-safe); it is consumed on the next poll round — idle if
-  /// one comes soon enough, forced onto a busy round otherwise.
+  /// one comes soon enough, forced onto a busy round otherwise. Throws when
+  /// the final snapshot or stats export fails.
   void run(const std::atomic<bool>& stop, std::atomic<bool>& snapshot_request);
 
   const ServerCounters& counters() const { return counters_; }

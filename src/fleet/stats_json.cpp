@@ -129,6 +129,8 @@ std::string server_stats_json(const ServerCounters& counters,
   out += ',';
   append_u64(out, "snapshots_forced", counters.snapshots_forced);
   out += ',';
+  append_u64(out, "snapshot_failures", counters.snapshot_failures);
+  out += ',';
   append_u64(out, "snapshot_records_reused", counters.snapshot_records_reused);
   out += ',';
   append_u64(out, "snapshot_records_rewritten", counters.snapshot_records_rewritten);

@@ -1,13 +1,12 @@
-// Zero-copy EMTA archive access for load generation. load_trace_archive()
-// deserializes every sample into freshly allocated Traces — fine for
-// analysis, wasteful for a replay client whose only job is to push bytes at
-// a socket as fast as possible. MappedTraceArchive mmap()s the archive and
-// validates the same header invariants, then hands out pointers straight
-// into the mapping: the EMTA payload is little-endian float64 starting at a
-// double-aligned offset, so a trace is readable in place with no copy and no
-// per-trace heap traffic. The kernel pages samples in on demand, which is
-// what lets a replay client stream archives much larger than RAM at line
-// rate.
+// Zero-copy EMTA archive access, and the one EMTA reader: load_trace_archive()
+// is a copy out of a MappedTraceArchive. The class mmap()s the archive,
+// validates the header against the file size, then hands out pointers
+// straight into the mapping: the EMTA payload is little-endian float64
+// starting at a double-aligned offset, so a trace is readable in place with
+// no copy and no per-trace heap traffic. The kernel pages samples in on
+// demand, which is what lets a replay client stream archives much larger
+// than RAM at line rate. Implemented in trace_archive.cpp, next to the
+// writer, so the header layout is written down once.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,7 @@ class MappedTraceArchive {
   /// Opens and maps the archive read-only, validating the EMTA header
   /// against the actual file size (declared shape must account for every
   /// byte). Throws precondition_error on open/map failure or any header
-  /// mismatch — the same corruption checks load_trace_archive applies.
+  /// mismatch.
   explicit MappedTraceArchive(const std::string& path);
   ~MappedTraceArchive();
 

@@ -15,9 +15,10 @@ namespace emts::io {
 /// an empty/ragged set.
 void save_trace_archive(const std::string& path, const core::TraceSet& set);
 
-/// Reads an archive written by save_trace_archive; validates the header and
-/// returns the reconstructed set. Throws precondition_error on any mismatch
-/// (bad magic, truncated payload, zero sizes).
+/// Reads an archive written by save_trace_archive: a MappedTraceArchive
+/// (which validates the header against the file size) copied out trace by
+/// trace. Throws precondition_error on any mismatch (bad magic, truncated
+/// payload, zero sizes).
 core::TraceSet load_trace_archive(const std::string& path);
 
 }  // namespace emts::io

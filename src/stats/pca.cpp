@@ -119,19 +119,6 @@ void PcaModel::project_into(const std::vector<double>& sample, std::vector<doubl
   }
 }
 
-linalg::Matrix PcaModel::project_all(const linalg::Matrix& data) const {
-  EMTS_REQUIRE(data.cols() == input_dim(), "PCA project_all: dimension mismatch");
-  linalg::Matrix out{data.rows(), components()};
-  std::vector<double> sample(input_dim());
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    const double* row = data.row_data(i);
-    sample.assign(row, row + input_dim());
-    const auto proj = project(sample);
-    for (std::size_t c = 0; c < components(); ++c) out(i, c) = proj[c];
-  }
-  return out;
-}
-
 std::vector<double> PcaModel::reconstruct(const std::vector<double>& projected) const {
   std::vector<double> out;
   reconstruct_into(projected, out);

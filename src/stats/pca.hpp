@@ -33,9 +33,6 @@ class PcaModel {
   /// `sample`.
   void project_into(const std::vector<double>& sample, std::vector<double>& out) const;
 
-  /// Projects every row of `data`; result is rows x components().
-  linalg::Matrix project_all(const linalg::Matrix& data) const;
-
   /// Reconstructs an observation from its projection (inverse transform).
   std::vector<double> reconstruct(const std::vector<double>& projected) const;
 

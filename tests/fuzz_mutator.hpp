@@ -1,5 +1,5 @@
 // Seeded mutation engine shared by the loader fuzzers (test_snapshot_fuzz,
-// test_wire_fuzz, test_trace_archive_fuzz). A seed byte string is described
+// test_wire_fuzz, test_trace_archive_fuzz, test_array_artifact_fuzz). A seed byte string is described
 // as a list of sealed spans: each span is a checksummed payload
 // [payload_begin, payload_end) followed by its u64 FNV-1a checksum, with the
 // length fields found around it (raw, outside the checksum) and inside it
@@ -39,7 +39,8 @@ inline void write_le(std::string& bytes, const Field& field, std::uint64_t value
   std::memcpy(bytes.data() + field.offset, &value, field.width);
 }
 
-/// One checksummed unit of a seed (an EMFS device record, an EMWF frame).
+/// One checksummed unit of a seed (an EMFS device record, an EMWF frame), or
+/// an unsealed one (the EMTA file, an EMAA header or sensor).
 struct SealedSpan {
   std::size_t payload_begin = 0;
   std::size_t payload_end = 0;       // the u64 checksum follows

@@ -216,7 +216,7 @@ class WindowedStub : public Detector {
  public:
   std::string name() const override { return "windowed-stub"; }
   std::string describe() const override { return name(); }
-  double score(const Trace&) const override { return 0.0; }
+  double score_buffered(const Trace&, ScoreScratch&) const override { return 0.0; }
   double threshold() const override { return 0.0; }
   bool windowed() const override { return true; }
   void save(std::ostream&) const override {}

@@ -535,6 +535,70 @@ TEST_F(ServerTest, SnapshotRequestHonoredOnIdleRound) {
   EXPECT_EQ(read_file(snapshot_path_), read_file(full_path));
 }
 
+// A requested cut whose directory is missing fails; the daemon counts it
+// and keeps scoring, and the shutdown cut, once the directory exists, writes
+// a complete snapshot that restores.
+TEST_F(ServerTest, FailedSnapshotCutIsCountedAndServingContinues) {
+  FleetMonitor fleet{fleet_options()};
+  fleet.add_device("chip-00", fitted());
+
+  const std::string snapshot_dir = scratch_.path("not-yet");
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  options.snapshot_path = snapshot_dir + "/fleet.emfs";
+  options.stats_path = stats_path_;
+  options.stats_every_frames = 1;
+  IngestServer server{fleet, options};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> snapshot_request{false};
+  std::thread serve{[&] { server.run(stop, snapshot_request); }};
+
+  const int fd = connect_to(socket_path_);
+  const core::TraceSet batch = make_set(40, 12);
+  std::size_t sent = 0;
+  const auto send_one = [&] {
+    std::string bytes;
+    const core::Trace& trace = batch.traces[sent];
+    io::wire::encode_trace_frame("chip-00", kFs, trace.data(), trace.size(), bytes);
+    send_all(fd, bytes.data(), bytes.size());
+    ++sent;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto wait_scored = [&] {
+    while (fleet.stats().traces_processed < sent) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "ingest timed out";
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+
+  // The counters belong to the serving thread; the per-frame stats export
+  // is how this thread sees the failed cut while the daemon runs.
+  snapshot_request = true;
+  while (read_file(stats_path_).find("\"snapshot_failures\":1") == std::string::npos) {
+    ASSERT_LT(sent, batch.size()) << "no stats export showed the failed cut";
+    send_one();
+    wait_scored();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const std::size_t scored_before = sent;
+  for (int extra = 0; extra < 3; ++extra) send_one();
+  wait_scored();
+  EXPECT_EQ(fleet.stats().traces_processed, scored_before + 3);
+
+  std::filesystem::create_directory(snapshot_dir);
+  ::close(fd);
+  stop = true;
+  serve.join();
+  EXPECT_EQ(server.counters().snapshot_failures, 1u);
+  EXPECT_EQ(server.counters().snapshots_written, 1u);
+
+  FleetMonitor restored{fleet_options()};
+  restored.restore(io::load_fleet_snapshot(options.snapshot_path));
+  const FleetStats stats = restored.stats();
+  ASSERT_EQ(stats.sessions.size(), 1u);
+  EXPECT_EQ(stats.sessions[0].monitor.scored_captures, sent);
+}
+
 TEST_F(ServerTest, WallClockCadenceWritesSnapshotsWhileIdle) {
   FleetMonitor fleet{fleet_options()};
   fleet.add_device("chip-00", fitted());

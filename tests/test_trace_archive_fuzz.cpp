@@ -1,16 +1,17 @@
-// Seeded mutation test for the two EMTA readers: load_trace_archive, which
-// copies every sample into a TraceSet, and MappedTraceArchive, which maps the
-// file and reads samples in place. A valid archive is mutated by a
-// fixed-seed Rng with a fixed budget of byte flips, truncations and
-// header-field splices, through the shared engine in fuzz_mutator.hpp. EMTA
-// carries no checksum, so the whole file after the magic is one unsealed
-// span: its shape fields (trace count, trace length) and its scalar fields
-// (version, sample-rate bits) are the span's two splice pools. Every mutant
-// goes to both readers, and they must agree: either both refuse it with
-// precondition_error, or both accept it with the same shape, sample rate and
-// sample bits.
+// Seeded mutation test for the EMTA reader (load_trace_archive, a copy out of
+// MappedTraceArchive). A valid archive is mutated by a fixed-seed Rng with a
+// fixed budget of byte flips, truncations and header-field splices, through
+// the shared engine in fuzz_mutator.hpp. EMTA carries no checksum, so the
+// whole file after the magic is one unsealed span: its shape fields (trace
+// count, trace length) and its scalar fields (version, sample-rate bits) are
+// the span's two splice pools. Every mutant is judged against an oracle
+// written here from the format alone (docs/FORMATS.md): the loader must
+// refuse with precondition_error exactly the files the oracle refuses, and
+// an accepted file must load with the header's shape and rate and with
+// sample bits equal to the file's bytes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -23,7 +24,6 @@
 
 #include "core/trace.hpp"
 #include "fuzz_mutator.hpp"
-#include "io/mmap_archive.hpp"
 #include "io/trace_archive.hpp"
 #include "scratch_dir.hpp"
 #include "util/assert.hpp"
@@ -52,7 +52,7 @@ core::TraceSet seed_set() {
 }
 
 /// Splice values for the u32 version and the u64 count, length and
-/// sample-rate fields: boundaries of the field's own value, of the readers'
+/// sample-rate fields: boundaries of the field's own value, of the reader's
 /// 2^32 size limit, products that wrap u64, and the bit patterns of 0.0,
 /// +inf and NaN.
 std::uint64_t splice_value(Rng& rng, std::uint64_t current, std::size_t /*width*/) {
@@ -74,54 +74,63 @@ std::uint64_t splice_value(Rng& rng, std::uint64_t current, std::size_t /*width*
   return candidates[rng.uniform_below(sizeof candidates / sizeof candidates[0])];
 }
 
-/// What a reader made of one file: nullopt when it refused it with
-/// precondition_error.
-std::optional<core::TraceSet> via_loader(const std::string& path) {
-  try {
-    return load_trace_archive(path);
-  } catch (const precondition_error&) {
-    return std::nullopt;
-  }
+/// Whether an EMTA v1 reader must accept `bytes`, decided from the raw
+/// header and the file size: the magic, version 1, trace count and length
+/// both non-zero and below 2^32, a finite positive sample rate, and
+/// count x length x 8 payload bytes after the 32-byte header, exactly.
+bool oracle_accepts(const std::string& bytes) {
+  constexpr std::size_t kHeader = 32;
+  if (bytes.size() < kHeader || bytes.compare(0, 4, "EMTA") != 0) return false;
+  std::uint32_t version = 0;
+  std::uint64_t count = 0;
+  std::uint64_t length = 0;
+  double rate = 0.0;
+  std::memcpy(&version, bytes.data() + 4, sizeof version);
+  std::memcpy(&count, bytes.data() + 8, sizeof count);
+  std::memcpy(&length, bytes.data() + 16, sizeof length);
+  std::memcpy(&rate, bytes.data() + 24, sizeof rate);
+  if (version != 1 || count == 0 || length == 0) return false;
+  if (count >= (1ull << 32) || length >= (1ull << 32)) return false;
+  if (!std::isfinite(rate) || rate <= 0.0) return false;
+  // Both factors are below 2^32, so their product cannot wrap; the byte
+  // count is compared as a sample count so nothing is multiplied by 8.
+  const std::size_t payload = bytes.size() - kHeader;
+  return payload % sizeof(double) == 0 && count * length == payload / sizeof(double);
 }
 
-std::optional<core::TraceSet> via_mapping(const std::string& path) {
+/// The loader on `path` (holding `bytes`) against the oracle; returns whether
+/// the loader accepted. Disagreements are test failures.
+bool loader_matches_oracle(const std::string& path, const std::string& bytes) {
+  const bool expect = oracle_accepts(bytes);
+  std::optional<core::TraceSet> loaded;
   try {
-    const MappedTraceArchive archive{path};
-    core::TraceSet set;
-    set.sample_rate = archive.sample_rate();
-    for (std::size_t t = 0; t < archive.size(); ++t) set.add(archive.trace_copy(t));
-    return set;
+    loaded = load_trace_archive(path);
   } catch (const precondition_error&) {
-    return std::nullopt;
   }
-}
-
-bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-/// Both readers on `path`; returns whether they accepted it. Disagreements
-/// are test failures.
-bool readers_agree(const std::string& path) {
-  const std::optional<core::TraceSet> loaded = via_loader(path);
-  const std::optional<core::TraceSet> mapped = via_mapping(path);
-  EXPECT_EQ(loaded.has_value(), mapped.has_value())
-      << "load_trace_archive " << (loaded ? "accepted" : "refused")
-      << " what MappedTraceArchive " << (mapped ? "accepted" : "refused");
-  if (!loaded || !mapped) return false;
-  EXPECT_TRUE(same_bits(loaded->sample_rate, mapped->sample_rate));
-  EXPECT_EQ(loaded->size(), mapped->size());
-  EXPECT_EQ(loaded->trace_length(), mapped->trace_length());
-  if (loaded->size() == mapped->size() && loaded->trace_length() == mapped->trace_length()) {
+  EXPECT_EQ(loaded.has_value(), expect)
+      << "load_trace_archive " << (loaded ? "accepted" : "refused") << " what the oracle "
+      << (expect ? "accepts" : "refuses");
+  if (!loaded || !expect) return loaded.has_value();
+  std::uint64_t count = 0;
+  std::uint64_t length = 0;
+  std::memcpy(&count, bytes.data() + 8, sizeof count);
+  std::memcpy(&length, bytes.data() + 16, sizeof length);
+  EXPECT_EQ(std::memcmp(&loaded->sample_rate, bytes.data() + 24, sizeof(double)), 0);
+  EXPECT_EQ(loaded->size(), count);
+  EXPECT_EQ(loaded->trace_length(), length);
+  if (loaded->size() == count && loaded->trace_length() == length) {
+    const std::size_t trace_bytes = loaded->trace_length() * sizeof(double);
     for (std::size_t t = 0; t < loaded->size(); ++t) {
-      EXPECT_EQ(std::memcmp(loaded->traces[t].data(), mapped->traces[t].data(),
-                            loaded->trace_length() * sizeof(double)),
+      EXPECT_EQ(std::memcmp(loaded->traces[t].data(), bytes.data() + 32 + t * trace_bytes,
+                            trace_bytes),
                 0)
-          << "trace " << t << " differs between the readers";
+          << "trace " << t << " differs from the file's bytes";
     }
   }
   return true;
 }
 
-TEST(TraceArchiveFuzz, BothReadersRefuseOrAcceptEveryMutantAlike) {
+TEST(TraceArchiveFuzz, LoaderMatchesHeaderOracleOnEveryMutant) {
   test_support::ScratchDir scratch;
   const std::string path = scratch.path("mutant.emta");
   const core::TraceSet set = seed_set();
@@ -141,8 +150,8 @@ TEST(TraceArchiveFuzz, BothReadersRefuseOrAcceptEveryMutantAlike) {
   file.checksummed = false;
   const std::vector<SealedSpan> spans = {file};
 
-  // The unmutated archive is the control: both readers take it.
-  ASSERT_TRUE(readers_agree(path));
+  // The unmutated archive is the control: the oracle and the loader take it.
+  ASSERT_TRUE(loader_matches_oracle(path, seed));
 
   Rng rng{kSeed};
   std::size_t refused = 0;
@@ -159,7 +168,7 @@ TEST(TraceArchiveFuzz, BothReadersRefuseOrAcceptEveryMutantAlike) {
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
     try {
-      if (readers_agree(path)) {
+      if (loader_matches_oracle(path, bytes)) {
         ++accepted;
       } else {
         ++refused;

@@ -17,7 +17,9 @@
 // 2 malformed arguments (usage on stderr), 3 runtime error.
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,6 +155,58 @@ int usage_error() {
   return 2;
 }
 
+/// A malformed command line: main() prints the message and the usage and
+/// exits 2, where any other failure exits 3.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The value of the flag at args[i]; advances i past it.
+const std::string& flag_value(const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) throw UsageError(args[i] + " needs a value");
+  return args[++i];
+}
+
+/// Parses all of `text` as a non-negative decimal number within T's range:
+/// a digit first (no sign, no space) and nothing after the number.
+template <typename T>
+bool parse_number(const std::string& text, T* value) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *value);
+  return !text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) != 0 &&
+         error == std::errc{} && stop == end;
+}
+
+/// The flag at args[i]'s value through parse_number; advances i past it.
+template <typename T>
+T flag_number(const std::vector<std::string>& args, std::size_t& i) {
+  const std::string& flag = args[i];
+  const std::string& text = flag_value(args, i);
+  T value{};
+  if (!parse_number(text, &value)) {
+    throw UsageError(flag + " takes a non-negative number, got '" + text + "'");
+  }
+  return value;
+}
+
+fleet::BackpressurePolicy flag_policy(const std::vector<std::string>& args, std::size_t& i) {
+  const std::string& policy = flag_value(args, i);
+  if (policy == "block") return fleet::BackpressurePolicy::kBlock;
+  if (policy == "drop-oldest") return fleet::BackpressurePolicy::kDropOldest;
+  if (policy == "reject") return fleet::BackpressurePolicy::kReject;
+  throw UsageError("--policy takes block|drop-oldest|reject, got '" + policy + "'");
+}
+
+/// Runs a library parser on a flag's value; its refusal is a usage error.
+template <typename Parse>
+auto as_usage(const Parse& parse) {
+  try {
+    return parse();
+  } catch (const precondition_error& error) {
+    throw UsageError(error.what());
+  }
+}
+
 bool parse_trojan(const std::string& label, trojan::TrojanKind* kind) {
   for (trojan::TrojanKind k : trojan::kAllTrojanKinds) {
     if (label == trojan::kind_label(k)) {
@@ -237,26 +292,22 @@ int cmd_capture(const std::vector<std::string>& args) {
 
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_number<std::size_t>(args, i);
     } else if (a == "--threads") {
-      engine_options.threads = std::stoul(next());
+      engine_options.threads = flag_number<std::size_t>(args, i);
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_number<std::uint64_t>(args, i);
     } else if (a == "--silicon") {
       silicon = true;
     } else if (a == "--idle") {
       encrypting = false;
     } else if (a == "--pickup") {
-      const std::string& p = next();
-      EMTS_REQUIRE(p == "sensor" || p == "probe", "--pickup takes sensor|probe");
+      const std::string& p = flag_value(args, i);
+      if (p != "sensor" && p != "probe") throw UsageError("--pickup takes sensor|probe");
       pickup = p == "sensor" ? sim::Pickup::kOnChipSensor : sim::Pickup::kExternalProbe;
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      if (!parse_trojan(flag_value(args, i), &kind)) throw UsageError("unknown trojan label");
       has_trojan = true;
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
@@ -305,9 +356,8 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--detectors") {
-      EMTS_REQUIRE(i + 1 < args.size(), "--detectors needs a value");
-      options.detectors = split_csv(args[++i]);
-      EMTS_REQUIRE(!options.detectors.empty(), "--detectors needs at least one name");
+      options.detectors = split_csv(flag_value(args, i));
+      if (options.detectors.empty()) throw UsageError("--detectors needs at least one name");
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return usage_error();
@@ -337,14 +387,10 @@ int cmd_monitor(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, i);
     } else if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_number<std::size_t>(args, i);
     } else if (a == "--silicon") {
       silicon = true;
     } else if (a == "--stats") {
@@ -353,7 +399,7 @@ int cmd_monitor(const std::vector<std::string>& args) {
       json = true;  // implies --stats; the object on stdout is the output
       show_stats = true;
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      if (!parse_trojan(flag_value(args, i), &kind)) throw UsageError("unknown trojan label");
       has_trojan = true;
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
@@ -428,27 +474,14 @@ int cmd_fleet(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, i);
     } else if (a == "--shards") {
-      options.shards = std::stoul(next());
+      options.shards = flag_number<std::size_t>(args, i);
     } else if (a == "--queue") {
-      options.queue_capacity = std::stoul(next());
+      options.queue_capacity = flag_number<std::size_t>(args, i);
     } else if (a == "--policy") {
-      const std::string& p = next();
-      if (p == "block") {
-        options.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (p == "drop-oldest") {
-        options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else if (p == "reject") {
-        options.backpressure = fleet::BackpressurePolicy::kReject;
-      } else {
-        EMTS_REQUIRE(false, "--policy takes block|drop-oldest|reject");
-      }
+      options.backpressure = flag_policy(args, i);
     } else if (a == "--pin") {
       options.pin_workers = true;
     } else if (a == "--stats") {
@@ -589,70 +622,43 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--socket") {
-      server_options.socket_path = next();
+      server_options.socket_path = flag_value(args, i);
     } else if (a == "--listen") {
-      server_options.listen_address = next();
+      server_options.listen_address = flag_value(args, i);
       // Malformed endpoints are argument errors (exit 2), caught here rather
       // than as a runtime throw out of the server constructor.
-      try {
-        fleet::parse_tcp_endpoint(server_options.listen_address);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      as_usage([&] { fleet::parse_tcp_endpoint(server_options.listen_address); });
     } else if (a == "--allow") {
-      const std::string& rule = next();
-      try {
-        fleet::parse_cidr(rule);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      const std::string& rule = flag_value(args, i);
+      as_usage([&] { fleet::parse_cidr(rule); });
       server_options.allow.push_back(rule);
     } else if (a == "--auth-secret") {
-      server_options.auth_secret = next();
+      server_options.auth_secret = flag_value(args, i);
     } else if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, i);
     } else if (a == "--restore") {
-      restore_path = next();
+      restore_path = flag_value(args, i);
     } else if (a == "--snapshot-path") {
-      server_options.snapshot_path = next();
+      server_options.snapshot_path = flag_value(args, i);
     } else if (a == "--snapshot-every") {
       // Bad cadence syntax is an argument error (exit 2), not a runtime one.
-      try {
-        const fleet::SnapshotCadence cadence = fleet::parse_snapshot_cadence(next());
-        server_options.snapshot_every_frames = cadence.every_frames;
-        server_options.snapshot_every_ms = cadence.every_ms;
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      const fleet::SnapshotCadence cadence =
+          as_usage([&] { return fleet::parse_snapshot_cadence(flag_value(args, i)); });
+      server_options.snapshot_every_frames = cadence.every_frames;
+      server_options.snapshot_every_ms = cadence.every_ms;
     } else if (a == "--stats-path") {
-      server_options.stats_path = next();
+      server_options.stats_path = flag_value(args, i);
     } else if (a == "--stats-every") {
-      server_options.stats_every_frames = std::stoull(next());
+      server_options.stats_every_frames = flag_number<std::uint64_t>(args, i);
     } else if (a == "--shards") {
-      fleet_options.shards = std::stoul(next());
+      fleet_options.shards = flag_number<std::size_t>(args, i);
       shards_given = true;
     } else if (a == "--queue") {
-      fleet_options.queue_capacity = std::stoul(next());
+      fleet_options.queue_capacity = flag_number<std::size_t>(args, i);
       queue_given = true;
     } else if (a == "--policy") {
-      const std::string& p = next();
-      if (p == "block") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (p == "drop-oldest") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else if (p == "reject") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kReject;
-      } else {
-        EMTS_REQUIRE(false, "--policy takes block|drop-oldest|reject");
-      }
+      fleet_options.backpressure = flag_policy(args, i);
       policy_given = true;
     } else if (a == "--pin") {
       fleet_options.pin_workers = true;
@@ -761,31 +767,21 @@ int cmd_replay_client(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--socket") {
-      socket_path = next();
+      socket_path = flag_value(args, i);
     } else if (a == "--connect") {
-      connect_address = next();
-      try {
-        fleet::parse_tcp_endpoint(connect_address);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      connect_address = flag_value(args, i);
+      as_usage([&] { fleet::parse_tcp_endpoint(connect_address); });
     } else if (a == "--auth-secret") {
-      auth_secret = next();
+      auth_secret = flag_value(args, i);
     } else if (a == "--device") {
-      device_id = next();
+      device_id = flag_value(args, i);
     } else if (a == "--rate") {
-      rate = std::stod(next());
-      EMTS_REQUIRE(rate >= 0.0, "--rate must be >= 0");
+      rate = flag_number<double>(args, i);
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_number<std::uint64_t>(args, i);
     } else if (a == "--count") {
-      count = std::stoull(next());
+      count = flag_number<std::uint64_t>(args, i);
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return usage_error();
@@ -928,14 +924,8 @@ int cmd_replay_client(const std::vector<std::string>& args) {
 
 bool parse_grid_spec(const std::string& text, array::GridSpec* spec) {
   const std::size_t x = text.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= text.size()) return false;
-  try {
-    spec->nx = std::stoul(text.substr(0, x));
-    spec->ny = std::stoul(text.substr(x + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return spec->nx >= 2 && spec->ny >= 2;
+  return x != std::string::npos && parse_number(text.substr(0, x), &spec->nx) &&
+         parse_number(text.substr(x + 1), &spec->ny) && spec->nx >= 2 && spec->ny >= 2;
 }
 
 int cmd_array_calibrate(const std::vector<std::string>& args) {
@@ -948,24 +938,19 @@ int cmd_array_calibrate(const std::vector<std::string>& args) {
 
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--grid") {
-      const std::string& g = next();
+      const std::string& g = flag_value(args, i);
       if (!parse_grid_spec(g, &grid_spec)) {
-        std::fprintf(stderr, "--grid takes NxM with N, M >= 2 (got %s)\n", g.c_str());
-        return usage_error();
+        throw UsageError("--grid takes NxM with N, M >= 2 (got " + g + ")");
       }
     } else if (a == "--turns") {
-      grid_spec.turns = std::stoul(next());
+      grid_spec.turns = flag_number<std::size_t>(args, i);
     } else if (a == "--windows") {
-      options.windows = std::stoul(next());
+      options.windows = flag_number<std::size_t>(args, i);
     } else if (a == "--first") {
-      options.first_index = std::stoull(next());
+      options.first_index = flag_number<std::uint64_t>(args, i);
     } else if (a == "--threads") {
-      engine_options.threads = std::stoul(next());
+      engine_options.threads = flag_number<std::size_t>(args, i);
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return usage_error();
@@ -1008,20 +993,16 @@ int run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, i);
     } else if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_number<std::size_t>(args, i);
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_number<std::uint64_t>(args, i);
     } else if (a == "--json") {
       // handled by the caller; accepted here so both subcommands share flags
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      if (!parse_trojan(flag_value(args, i), &kind)) throw UsageError("unknown trojan label");
       has_trojan = true;
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
@@ -1032,7 +1013,7 @@ int run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
     std::fprintf(stderr, "array monitor/localize needs --model <model.emaa>\n");
     return usage_error();
   }
-  EMTS_REQUIRE(windows >= 1, "--windows must be >= 1");
+  if (windows < 1) throw UsageError("--windows must be >= 1");
 
   run->calibration = array::load_array_calibration(model_path);
   run->windows = windows;
@@ -1218,6 +1199,9 @@ int main(int argc, char** argv) {
     if (command == "replay-client") return cmd_replay_client(args);
     if (command == "snr") return cmd_snr(args);
     if (command == "info") return cmd_info(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage_error();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 3;
